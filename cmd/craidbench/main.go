@@ -51,6 +51,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -64,26 +65,37 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "", "regenerate one table: 1-6 or 'migration'")
-	figure := flag.String("figure", "", "regenerate one figure: 1, 4, 5, 6 or 7")
-	budget := flag.Float64("budget", 0.5, "replayed GB per trace per simulation")
-	traceName := flag.String("trace", "", "restrict figures to one trace")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "max concurrent simulations")
-	shards := flag.Int("shards", 0, "mapping-index shards per CRAID (0 = single tree)")
-	workers := flag.Int("workers", 0, "multi-queue monitor workers per CRAID (0 = sequential)")
-	lookahead := flag.Int("lookahead", 0, "plan batches this far ahead of the apply stage (0 = plan between batches)")
-	affinity := flag.Bool("affinity", false, "pin each shard group to one long-lived monitor worker (ratios unchanged)")
-	remote := flag.String("remote", "",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, prints the requested
+// tables and figures to stdout and diagnostics to stderr, and returns
+// the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("craidbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "", "regenerate one table: 1-6 or 'migration'")
+	figure := fs.String("figure", "", "regenerate one figure: 1, 4, 5, 6 or 7")
+	budget := fs.Float64("budget", 0.5, "replayed GB per trace per simulation")
+	traceName := fs.String("trace", "", "restrict figures to one trace")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent simulations")
+	shards := fs.Int("shards", 0, "mapping-index shards per CRAID (0 = single tree)")
+	workers := fs.Int("workers", 0, "multi-queue monitor workers per CRAID (0 = sequential)")
+	lookahead := fs.Int("lookahead", 0, "plan batches this far ahead of the apply stage (0 = plan between batches)")
+	affinity := fs.Bool("affinity", false, "pin each shard group to one long-lived monitor worker (ratios unchanged)")
+	remote := fs.String("remote", "",
 		"run simulation cells through the craidd fabric at this URL instead of in-process")
-	scheduler := flag.String("scheduler", "", "event engine for every cell: 'wheel' or 'heap' (default: wheel)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
-	flag.Parse()
+	scheduler := fs.String("scheduler", "", "event engine for every cell: 'wheel' or 'heap' (default: wheel)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *scheduler != "" {
 		kind, err := sim.ParseScheduler(*scheduler)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "craidbench:", err)
+			return 2
 		}
 		sim.SetDefaultScheduler(kind)
 	}
@@ -96,9 +108,13 @@ func main() {
 		experiments.SetExecutor(fabric.NewClient(*remote))
 	}
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "craidbench:", err)
+		return 1
+	}
 
-	r := runner{budget: *budget, trace: *traceName}
+	r := runner{budget: *budget, trace: *traceName, out: stdout, errw: stderr}
 	switch {
 	case *table == "" && *figure == "":
 		r.all()
@@ -113,24 +129,24 @@ func main() {
 
 	stopProfiles() // flush before any exit path
 	if r.failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // startProfiles begins CPU profiling and arms heap profiling per the
 // flags; the returned func stops/writes them (callable exactly once,
-// and before os.Exit, which would skip deferred writes).
-func startProfiles(cpuPath, memPath string) func() {
+// and before the process exits, which would skip deferred writes).
+func startProfiles(cpuPath, memPath string, stderr io.Writer) (func(), error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(1)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "craidbench:", err)
-			os.Exit(1)
+			f.Close()
+			return nil, err
 		}
 		cpuFile = f
 	}
@@ -142,27 +158,29 @@ func startProfiles(cpuPath, memPath string) func() {
 		if memPath != "" {
 			f, err := os.Create(memPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "craidbench:", err)
+				fmt.Fprintln(stderr, "craidbench:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the final live set
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "craidbench:", err)
+				fmt.Fprintln(stderr, "craidbench:", err)
 			}
 		}
-	}
+	}, nil
 }
 
 type runner struct {
 	budget float64
 	trace  string
+	out    io.Writer // tables and figures
+	errw   io.Writer // diagnostics
 	failed bool
 }
 
 func (r *runner) check(err error) bool {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "craidbench:", err)
+		fmt.Fprintln(r.errw, "craidbench:", err)
 		r.failed = true
 		return false
 	}
@@ -255,18 +273,18 @@ func (r *runner) timed(label string, fn func()) {
 	recs := experiments.ReplayedRecords() - rec0
 	if recs > 0 {
 		allocs := m1.Mallocs - m0.Mallocs
-		fmt.Printf("-- %s: %.2fs wall, %.0f ns/record, %.3f allocs/record (%d records)\n",
+		fmt.Fprintf(r.out, "-- %s: %.2fs wall, %.0f ns/record, %.3f allocs/record (%d records)\n",
 			label, wall.Seconds(), float64(wall.Nanoseconds())/float64(recs),
 			float64(allocs)/float64(recs), recs)
-		printSchedFooter(label, wall, s0, s1)
+		r.printSchedFooter(label, wall, s0, s1)
 	} else {
-		fmt.Printf("-- %s: %.2fs wall\n", label, wall.Seconds())
+		fmt.Fprintf(r.out, "-- %s: %.2fs wall\n", label, wall.Seconds())
 	}
 }
 
 // printSchedFooter prints the event-engine half of the footer from a
 // GlobalSchedStats delta bracketing one table/figure.
-func printSchedFooter(label string, wall time.Duration, s0, s1 sim.SchedStats) {
+func (r *runner) printSchedFooter(label string, wall time.Duration, s0, s1 sim.SchedStats) {
 	fired := s1.Fired - s0.Fired
 	if fired <= 0 {
 		return // remote runs: the fabric's engines fire, not ours
@@ -282,19 +300,19 @@ func printSchedFooter(label string, wall time.Duration, s0, s1 sim.SchedStats) {
 		}
 		fmt.Fprintf(&levels, "%d", s1.Level[i]-s0.Level[i])
 	}
-	fmt.Printf("-- %s: %.2fM events/s (%d events, ring %.1f%%), wheel L0/L1/L2 %s, overflow %d deferred %d promoted %d cascaded\n",
+	fmt.Fprintf(r.out, "-- %s: %.2fM events/s (%d events, ring %.1f%%), wheel L0/L1/L2 %s, overflow %d deferred %d promoted %d cascaded\n",
 		label, float64(fired)/wall.Seconds()/1e6, fired,
 		100*float64(ring)/float64(fired), levels.String(),
 		deferred, promoted, cascaded)
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
+func (r *runner) header(title string) {
+	fmt.Fprintf(r.out, "\n=== %s ===\n", title)
 }
 
 func (r *runner) table1() {
-	header("Table 1: summary statistics of the seven workloads (scaled)")
-	fmt.Printf("%-12s %9s %9s %9s %9s %6s %9s %8s\n",
+	r.header("Table 1: summary statistics of the seven workloads (scaled)")
+	fmt.Fprintf(r.out, "%-12s %9s %9s %9s %9s %6s %9s %8s\n",
 		"trace", "readGB", "uniqR_GB", "writeGB", "uniqW_GB", "R/W", "totalGB", "top20%")
 	rows, err := experiments.Table1(r.budget)
 	if !r.check(err) {
@@ -306,7 +324,7 @@ func (r *runner) table1() {
 				continue
 			}
 			s := row.Summary
-			fmt.Printf("%-12s %9.2f %9.2f %9.2f %9.2f %6.2f %9.2f %7.2f%%\n",
+			fmt.Fprintf(r.out, "%-12s %9.2f %9.2f %9.2f %9.2f %6.2f %9.2f %7.2f%%\n",
 				row.Trace, s.ReadGB, s.UniqueReadGB, s.WriteGB, s.UniqueWriteGB,
 				s.RWRatio, s.TotalGB, 100*s.Top20Share)
 		}
@@ -315,15 +333,15 @@ func (r *runner) table1() {
 
 func (r *runner) tables23(which string) {
 	if which == "2" {
-		header("Table 2: hit ratio (%) per cache-management algorithm")
+		r.header("Table 2: hit ratio (%) per cache-management algorithm")
 	} else {
-		header("Table 3: replacement ratio (%) per cache-management algorithm")
+		r.header("Table 3: replacement ratio (%) per cache-management algorithm")
 	}
-	fmt.Printf("%-12s", "trace")
+	fmt.Fprintf(r.out, "%-12s", "trace")
 	for _, p := range experiments.PolicyNamesPaper() {
-		fmt.Printf(" %8s", p)
+		fmt.Fprintf(r.out, " %8s", p)
 	}
-	fmt.Println()
+	fmt.Fprintln(r.out)
 	rows, err := experiments.Tables2and3(r.budget)
 	if !r.check(err) {
 		return
@@ -340,11 +358,11 @@ func (r *runner) tables23(which string) {
 				vals[row.Policy] = row.ReplacementRatio
 			}
 		}
-		fmt.Printf("%-12s", name)
+		fmt.Fprintf(r.out, "%-12s", name)
 		for _, p := range experiments.PolicyNamesPaper() {
-			fmt.Printf(" %7.2f%%", 100*vals[p])
+			fmt.Fprintf(r.out, " %7.2f%%", 100*vals[p])
 		}
-		fmt.Println()
+		fmt.Fprintln(r.out)
 	}
 }
 
@@ -354,35 +372,35 @@ func (r *runner) sweep(name string) (experiments.SweepResult, error) {
 
 func (r *runner) figures46(which string) {
 	if which == "4" {
-		header("Figure 4: mean read response time (ms) vs cache size (% per disk)")
+		r.header("Figure 4: mean read response time (ms) vs cache size (% per disk)")
 	} else {
-		header("Figure 6: mean write response time (ms) vs cache size (% per disk)")
+		r.header("Figure 6: mean write response time (ms) vs cache size (% per disk)")
 	}
 	for _, name := range r.traces() {
 		sweep, err := r.sweep(name)
 		if !r.check(err) {
 			return
 		}
-		fmt.Printf("\n[%s]\n%-13s", name, "strategy")
+		fmt.Fprintf(r.out, "\n[%s]\n%-13s", name, "strategy")
 		for _, pct := range experiments.PCSizes(name) {
-			fmt.Printf(" %8.3f", pct)
+			fmt.Fprintf(r.out, " %8.3f", pct)
 		}
-		fmt.Println()
+		fmt.Fprintln(r.out)
 		for _, strat := range experiments.Strategies() {
-			fmt.Printf("%-13s", strat)
+			fmt.Fprintf(r.out, "%-13s", strat)
 			for _, pct := range experiments.PCSizes(name) {
 				pt, ok := findPoint(sweep, strat, pct)
 				if !ok {
-					fmt.Printf(" %8s", "-")
+					fmt.Fprintf(r.out, " %8s", "-")
 					continue
 				}
 				v := pt.ReadMean
 				if which == "6" {
 					v = pt.WriteMean
 				}
-				fmt.Printf(" %8.3f", v.Milliseconds())
+				fmt.Fprintf(r.out, " %8.3f", v.Milliseconds())
 			}
-			fmt.Println()
+			fmt.Fprintln(r.out)
 		}
 	}
 }
@@ -406,8 +424,8 @@ func findPoint(sweep experiments.SweepResult, strat experiments.Strategy, pct fl
 }
 
 func (r *runner) table4() {
-	header("Table 4: best hit ratio and worst eviction ratio (all simulations)")
-	fmt.Printf("%-12s %10s %10s %12s %12s\n",
+	r.header("Table 4: best hit ratio and worst eviction ratio (all simulations)")
+	fmt.Fprintf(r.out, "%-12s %10s %10s %12s %12s\n",
 		"trace", "bestHit_R", "bestHit_W", "worstEvict_R", "worstEvict_W")
 	for _, name := range r.traces() {
 		sweep, err := r.sweep(name)
@@ -415,45 +433,45 @@ func (r *runner) table4() {
 			return
 		}
 		t4 := experiments.Table4(sweep)
-		fmt.Printf("%-12s %9.2f%% %9.2f%% %11.2f%% %11.2f%%\n",
+		fmt.Fprintf(r.out, "%-12s %9.2f%% %9.2f%% %11.2f%% %11.2f%%\n",
 			name, 100*t4.BestReadHit, 100*t4.BestWriteHit,
 			100*t4.WorstReadEvict, 100*t4.WorstWriteEvict)
 	}
 }
 
 func (r *runner) figure1() {
-	header("Figure 1: block frequency CDFs and daily working-set overlap")
+	r.header("Figure 1: block frequency CDFs and daily working-set overlap")
 	for _, name := range r.traces() {
 		res, err := experiments.Figure1(name, r.scaleFor(name))
 		if !r.check(err) {
 			return
 		}
-		fmt.Printf("\n[%s] freq:   ", name)
+		fmt.Fprintf(r.out, "\n[%s] freq:   ", name)
 		for _, f := range res.Freqs {
-			fmt.Printf(" %6d", f)
+			fmt.Fprintf(r.out, " %6d", f)
 		}
-		fmt.Printf("\n  read CDF:    ")
+		fmt.Fprintf(r.out, "\n  read CDF:    ")
 		for _, v := range res.ReadCDF {
-			fmt.Printf(" %6.3f", v)
+			fmt.Fprintf(r.out, " %6.3f", v)
 		}
-		fmt.Printf("\n  write CDF:   ")
+		fmt.Fprintf(r.out, "\n  write CDF:   ")
 		for _, v := range res.WriteCDF {
-			fmt.Printf(" %6.3f", v)
+			fmt.Fprintf(r.out, " %6.3f", v)
 		}
-		fmt.Printf("\n  overlap all: ")
+		fmt.Fprintf(r.out, "\n  overlap all: ")
 		for _, v := range res.OverlapAll {
-			fmt.Printf(" %5.1f%%", 100*v)
+			fmt.Fprintf(r.out, " %5.1f%%", 100*v)
 		}
-		fmt.Printf("\n  overlap top20:")
+		fmt.Fprintf(r.out, "\n  overlap top20:")
 		for _, v := range res.OverlapTop {
-			fmt.Printf(" %5.1f%%", 100*v)
+			fmt.Fprintf(r.out, " %5.1f%%", 100*v)
 		}
-		fmt.Println()
+		fmt.Fprintln(r.out)
 	}
 }
 
 func (r *runner) figure5() {
-	header("Figure 5: sequential access distribution (per-second quantiles)")
+	r.header("Figure 5: sequential access distribution (per-second quantiles)")
 	traces := r.traces()
 	if r.trace == "" {
 		traces = []string{"cello99", "webusers"} // the paper's panels
@@ -464,34 +482,34 @@ func (r *runner) figure5() {
 		if !r.check(err) {
 			return
 		}
-		fmt.Printf("\n[%s] P_C = %.3f%%; quantiles 0%%..100%% of per-second seq fraction\n", name, pct)
+		fmt.Fprintf(r.out, "\n[%s] P_C = %.3f%%; quantiles 0%%..100%% of per-second seq fraction\n", name, pct)
 		for _, s := range series {
-			fmt.Printf("%-13s mean=%.3f  ", s.Strategy, s.Mean)
+			fmt.Fprintf(r.out, "%-13s mean=%.3f  ", s.Strategy, s.Mean)
 			for _, q := range s.Quantiles {
-				fmt.Printf(" %5.2f", q)
+				fmt.Fprintf(r.out, " %5.2f", q)
 			}
-			fmt.Println()
+			fmt.Fprintln(r.out)
 		}
 	}
 }
 
 func (r *runner) table5() {
-	header("Table 5: ioqueue size and concurrent devices, wdev, P_C = 0.002%")
+	r.header("Table 5: ioqueue size and concurrent devices, wdev, P_C = 0.002%")
 	rows, err := experiments.Table5(r.scaleFor("wdev"))
 	if !r.check(err) {
 		return
 	}
-	fmt.Printf("%-13s %10s %8s %8s %10s %8s %8s\n",
+	fmt.Fprintf(r.out, "%-13s %10s %8s %8s %10s %8s %8s\n",
 		"strategy", "IoqMean", "Ioq99", "IoqMax", "CdevMean", "Cdev99", "CdevMax")
 	for _, row := range rows {
-		fmt.Printf("%-13s %10.2f %8d %8d %10.2f %8d %8d\n",
+		fmt.Fprintf(r.out, "%-13s %10.2f %8d %8d %10.2f %8d %8d\n",
 			row.Strategy, row.QueueMean, row.QueueP99, row.QueueMax,
 			row.ConcMean, row.ConcP99, row.ConcMax)
 	}
 }
 
 func (r *runner) figure7() {
-	header("Figure 7: workload distribution — CDF of per-second cv")
+	r.header("Figure 7: workload distribution — CDF of per-second cv")
 	traces := r.traces()
 	if r.trace == "" {
 		traces = []string{"deasna", "wdev"} // the paper's panels
@@ -501,36 +519,36 @@ func (r *runner) figure7() {
 		if !r.check(err) {
 			return
 		}
-		fmt.Printf("\n[%s] cv grid:", name)
+		fmt.Fprintf(r.out, "\n[%s] cv grid:", name)
 		for _, g := range experiments.CVGrid {
-			fmt.Printf(" %5.2f", g)
+			fmt.Fprintf(r.out, " %5.2f", g)
 		}
-		fmt.Println()
+		fmt.Fprintln(r.out)
 		for _, s := range series {
 			label := string(s.Strategy)
 			if s.PCPct > 0 {
 				label = fmt.Sprintf("%s@%.3f%%", s.Strategy, s.PCPct)
 			}
-			fmt.Printf("%-20s meanCV=%.3f ", label, s.MeanCV)
+			fmt.Fprintf(r.out, "%-20s meanCV=%.3f ", label, s.MeanCV)
 			for _, v := range s.CDF {
-				fmt.Printf(" %5.2f", v)
+				fmt.Fprintf(r.out, " %5.2f", v)
 			}
-			fmt.Println()
+			fmt.Fprintln(r.out)
 		}
 	}
 }
 
 func (r *runner) table6() {
-	header("Table 6: influence of P_C size on workload distribution")
-	fmt.Printf("%-13s %10s %10s %10s %10s\n", "strategy", "bestPC%", "bestCV", "worstPC%", "worstCV")
+	r.header("Table 6: influence of P_C size on workload distribution")
+	fmt.Fprintf(r.out, "%-13s %10s %10s %10s %10s\n", "strategy", "bestPC%", "bestCV", "worstPC%", "worstCV")
 	for _, name := range r.traces() {
 		series, err := experiments.Figure7(name, r.scaleFor(name), bestWorstSizes(name))
 		if !r.check(err) {
 			return
 		}
-		fmt.Printf("[%s]\n", name)
+		fmt.Fprintf(r.out, "[%s]\n", name)
 		for _, row := range experiments.Table6(series) {
-			fmt.Printf("%-13s %10.3f %10.3f %10.3f %10.3f\n",
+			fmt.Fprintf(r.out, "%-13s %10.3f %10.3f %10.3f %10.3f\n",
 				row.Strategy, row.BestPct, row.BestCV, row.WorstPct, row.WorstCV)
 		}
 	}
@@ -544,30 +562,30 @@ func bestWorstSizes(trace string) []float64 {
 }
 
 func (r *runner) migration() {
-	header("Migration ablation: upgrade cost over the 10→50 schedule")
+	r.header("Migration ablation: upgrade cost over the 10→50 schedule")
 	rows, err := experiments.MigrationAblation(0.0128)
 	if !r.check(err) {
 		return
 	}
-	fmt.Printf("%-11s %11s %9s  %s\n", "strategy", "total moved", "final cv", "per-step fraction moved")
+	fmt.Fprintf(r.out, "%-11s %11s %9s  %s\n", "strategy", "total moved", "final cv", "per-step fraction moved")
 	for _, row := range rows {
-		fmt.Printf("%-11s %10.2f%% %9.4f ", row.Strategy, 100*row.TotalFrac, row.FinalCV)
+		fmt.Fprintf(r.out, "%-11s %10.2f%% %9.4f ", row.Strategy, 100*row.TotalFrac, row.FinalCV)
 		for _, f := range row.StepsFrac {
-			fmt.Printf(" %6.3f", f)
+			fmt.Fprintf(r.out, " %6.3f", f)
 		}
-		fmt.Println()
+		fmt.Fprintln(r.out)
 	}
 }
 
 func (r *runner) pcLevel() {
-	header("Ablation: cache-partition redundancy level (wdev)")
+	r.header("Ablation: cache-partition redundancy level (wdev)")
 	rows, err := experiments.AblationPCLevel("wdev", r.scaleFor("wdev"), 0.008)
 	if !r.check(err) {
 		return
 	}
-	fmt.Printf("%-8s %10s %10s %8s %8s\n", "P_C", "read(ms)", "write(ms)", "hitR", "hitW")
+	fmt.Fprintf(r.out, "%-8s %10s %10s %8s %8s\n", "P_C", "read(ms)", "write(ms)", "hitR", "hitW")
 	for _, row := range rows {
-		fmt.Printf("%-8s %10.3f %10.3f %7.1f%% %7.1f%%\n",
+		fmt.Fprintf(r.out, "%-8s %10.3f %10.3f %7.1f%% %7.1f%%\n",
 			row.Level, row.ReadMean.Milliseconds(), row.WriteMean.Milliseconds(),
 			100*row.HitRead, 100*row.HitWrite)
 	}
@@ -580,8 +598,8 @@ func (r *runner) pcLevel() {
 // interference ratios (faulted/healthy mean response time) next to the
 // degraded-window latencies and the compound-failure KPIs.
 func (r *runner) fault() {
-	header("Fault family: healthy-vs-faulted interference, degraded-window and compound KPIs (wdev)")
-	fmt.Printf("%-13s %-16s %7s %7s %10s %10s %10s %10s %11s %5s %5s %8s\n",
+	r.header("Fault family: healthy-vs-faulted interference, degraded-window and compound KPIs (wdev)")
+	fmt.Fprintf(r.out, "%-13s %-16s %7s %7s %10s %10s %10s %10s %11s %5s %5s %8s\n",
 		"strategy", "experiment", "readX", "writeX",
 		"degRd(ms)", "degRdP99", "degWr(ms)", "degWrP99", "rebuild(s)",
 		"lost", "rst", "upg(ms)")
@@ -597,7 +615,7 @@ func (r *runner) fault() {
 			return
 		}
 		for _, row := range rows {
-			fmt.Printf("%-13s %-16s %6.2fx %6.2fx %10.3f %10.3f %10.3f %10.3f %11.2f %5d %5d %8.3f\n",
+			fmt.Fprintf(r.out, "%-13s %-16s %6.2fx %6.2fx %10.3f %10.3f %10.3f %10.3f %11.2f %5d %5d %8.3f\n",
 				strat, row.Name, row.ReadMeanX, row.WriteMeanX,
 				row.DegReadMean.Milliseconds(), row.DegReadP99.Milliseconds(),
 				row.DegWriteMean.Milliseconds(), row.DegWriteP99.Milliseconds(),
@@ -608,15 +626,15 @@ func (r *runner) fault() {
 }
 
 func (r *runner) rebalance() {
-	header("Ablation: expansion strategy, 38→50 disks mid-trace (wdev)")
+	r.header("Ablation: expansion strategy, 38→50 disks mid-trace (wdev)")
 	rows, err := experiments.AblationRebalance("wdev", r.scaleFor("wdev"), 0.008)
 	if !r.check(err) {
 		return
 	}
-	fmt.Printf("%-11s %9s %9s %9s %10s %10s %8s %9s\n",
+	fmt.Fprintf(r.out, "%-11s %9s %9s %9s %10s %10s %8s %9s\n",
 		"mode", "writeback", "migrated", "dropped", "preRd(ms)", "postRd(ms)", "postHit", "newDiskIO")
 	for _, row := range rows {
-		fmt.Printf("%-11s %9d %9d %9d %10.3f %10.3f %7.1f%% %9d\n",
+		fmt.Fprintf(r.out, "%-11s %9d %9d %9d %10.3f %10.3f %7.1f%% %9d\n",
 			row.Mode, row.Upgrade.DirtyWriteback, row.Upgrade.Migrated, row.Upgrade.Invalidated,
 			row.PreReadMean.Milliseconds(), row.PostReadMean.Milliseconds(),
 			100*row.PostHitRatio, row.NewDiskReads+row.NewDiskWrites)

