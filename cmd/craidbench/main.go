@@ -9,12 +9,7 @@
 //	craidbench -budget 2.0      # GB of replayed traffic per trace
 //	craidbench -trace wdev      # restrict figures to one trace
 //	craidbench -parallel 4      # concurrent simulations (default: all cores)
-//	craidbench -shards 8        # shard the mapping index (ratios unchanged)
-//	craidbench -workers 4       # multi-queue monitor workers per cell (ratios unchanged)
-//	craidbench -workers 4 -lookahead 1   # overlap planning with apply (ratios unchanged)
-//	craidbench -workers 4 -affinity      # pin shard groups to long-lived workers (ratios unchanged)
 //	craidbench -remote http://host:8440  # run every cell through a craidd fabric
-//	craidbench -scheduler heap  # A/B the event engine (default: wheel)
 //	craidbench -cpuprofile cpu.pb.gz -table 2   # attach pprof evidence
 //
 // The -budget flag scales each workload so roughly that many gigabytes
@@ -25,16 +20,7 @@
 // The -parallel flag bounds how many independent simulation cells run
 // concurrently (each cell owns a private simulation engine, so the
 // matrix is embarrassingly parallel). Results are identical at every
-// parallelism level, and -shards shards every cell's mapping index
-// without changing any ratio. The -workers flag additionally turns on
-// each cell's multi-queue monitor: replay batches are classified
-// concurrently against the sharded index (one worker per shard group)
-// with a sequential apply stage, so every ratio and Stats field stays
-// bit-identical to -workers 1; when -shards is left at its default,
-// -workers N implies 4×N shards so the workers have groups to own.
-// The -lookahead flag moves each cell's plan phase onto its own
-// pipeline stage, classifying batch k+1 while batch k commits — same
-// guarantee: every table is byte-identical at any -lookahead value.
+// parallelism level.
 //
 // The -remote flag routes every simulation cell through a craidd
 // experiment fabric (cmd/craidd) instead of running them in-process:
@@ -79,31 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	budget := fs.Float64("budget", 0.5, "replayed GB per trace per simulation")
 	traceName := fs.String("trace", "", "restrict figures to one trace")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent simulations")
-	shards := fs.Int("shards", 0, "mapping-index shards per CRAID (0 = single tree)")
-	workers := fs.Int("workers", 0, "multi-queue monitor workers per CRAID (0 = sequential)")
-	lookahead := fs.Int("lookahead", 0, "plan batches this far ahead of the apply stage (0 = plan between batches)")
-	affinity := fs.Bool("affinity", false, "pin each shard group to one long-lived monitor worker (ratios unchanged)")
 	remote := fs.String("remote", "",
 		"run simulation cells through the craidd fabric at this URL instead of in-process")
-	scheduler := fs.String("scheduler", "", "event engine for every cell: 'wheel' or 'heap' (default: wheel)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *scheduler != "" {
-		kind, err := sim.ParseScheduler(*scheduler)
-		if err != nil {
-			fmt.Fprintln(stderr, "craidbench:", err)
-			return 2
-		}
-		sim.SetDefaultScheduler(kind)
-	}
 	experiments.SetParallelism(*parallel)
-	experiments.SetDefaultMapShards(*shards)
-	experiments.SetDefaultMonitorWorkers(*workers)
-	experiments.SetDefaultPlanLookahead(*lookahead)
-	experiments.SetDefaultWorkerAffinity(*affinity)
 	if *remote != "" {
 		experiments.SetExecutor(fabric.NewClient(*remote))
 	}

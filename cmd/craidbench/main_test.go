@@ -20,13 +20,17 @@ var goldenCases = []struct{ flag, which string }{
 	{"-table", "1"},
 	{"-table", "2"},
 	{"-table", "3"},
+	{"-table", "4"},
 	{"-table", "5"},
+	{"-table", "6"},
 	{"-table", "migration"},
 	{"-table", "pclevel"},
 	{"-table", "rebalance"},
 	{"-table", "fault"},
 	{"-figure", "1"},
+	{"-figure", "4"},
 	{"-figure", "5"},
+	{"-figure", "6"},
 	{"-figure", "7"},
 }
 

@@ -86,7 +86,11 @@ func serve(ctx context.Context, listen, cache string, workers int, leaseTTL time
 	log.Printf("serving on %s: %d local worker(s), cache %s (%d cached cell(s)), lease TTL %s",
 		listen, workers, cache, entries, leaseTTL)
 
-	hs := &http.Server{Addr: listen, Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a client may dribble request
+	// headers; bodies are bounded by the handlers' size limits, and the
+	// long-lived streaming job responses rule out a whole-request
+	// timeout.
+	hs := &http.Server{Addr: listen, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()
 	select {

@@ -38,8 +38,7 @@ func (o FaultOptions) withDefaults() FaultOptions {
 }
 
 // FaultStats aggregates what the fault fabric did to one run. All
-// counters are deterministic for a given plan + seed at every monitor
-// shards/workers/lookahead setting.
+// counters are deterministic for a given plan + seed.
 type FaultStats struct {
 	Failures   int64 // DiskFail events fired
 	Transients int64 // device completions carrying an injected error

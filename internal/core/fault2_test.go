@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,107 +16,6 @@ import (
 	"craid/internal/trace"
 )
 
-// testFaultClass is the CRAID_TEST_FAULT knob: which fault-scenario
-// class ("single", "double", "storm", "expand") this CI cell sweeps
-// across the full pipeline matrix. Determinism tests of the other
-// classes trim to one deep corner cell, so a matrix job stays bounded
-// while every class still runs everywhere.
-func testFaultClass() string {
-	return os.Getenv("CRAID_TEST_FAULT")
-}
-
-// sweepFaultMatrix drives run over the acceptance matrix — shards
-// {1,2,5,16} × workers {1,2,8} × lookahead {0,1,2} × affinity
-// {off,on} — skipping the (1,1,0,off) reference cell the caller
-// already replayed. Under the race detector the affinity dimension
-// collapses to the CRAID_TEST_AFFINITY baseline, and when another
-// fault class owns this CI cell the whole sweep collapses to one deep
-// corner.
-func sweepFaultMatrix(t *testing.T, class string, run func(shards, workers, lookahead int, affinity bool)) {
-	t.Helper()
-	if knob := testFaultClass(); knob != "" && knob != class {
-		run(16, 8, testLookahead(), testAffinity())
-		return
-	}
-	affinities := []bool{false, true}
-	if raceEnabled {
-		affinities = []bool{testAffinity()}
-	}
-	for _, shards := range []int{1, 2, 5, 16} {
-		for _, workers := range []int{1, 2, 8} {
-			for _, lookahead := range []int{0, 1, 2} {
-				for _, affinity := range affinities {
-					if shards == 1 && workers == 1 && lookahead == 0 && !affinity {
-						continue
-					}
-					run(shards, workers, lookahead, affinity)
-				}
-			}
-		}
-	}
-}
-
-// newMQCRAID6Affinity is the double-fault rig: a 6-disk shared-cache
-// CRAID whose cache and archive partitions are both RAID-6, so two
-// overlapping erasures stay within the parity budget.
-func newMQCRAID6Affinity(eng *sim.Engine, cachePerDisk int64, shards, workers, lookahead int, affinity bool) (*CRAID, *Array) {
-	arr := nullArray(eng, 6, 100000)
-	disks := []int{0, 1, 2, 3, 4, 5}
-	paLayout := raid.NewRAID6(6, 6, 4096, 4)
-	c := mustCRAID(arr, Config{
-		Policy:         "WLRU",
-		CachePerDisk:   cachePerDisk,
-		ParityGroup:    6,
-		StripeUnit:     4,
-		Level:          PCRaid6,
-		MapShards:      shards,
-		MonitorWorkers: workers,
-		PlanLookahead:  lookahead,
-		WorkerAffinity: affinity,
-	}, true, disks, 0, paLayout, disks, cachePerDisk)
-	return c, arr
-}
-
-// replayFaultRig is replayFaultMQAffinity over an arbitrary controller
-// rig, for the compound scenarios that need RAID-6 geometry.
-func replayFaultRig(t *testing.T, rig func(*sim.Engine, int64, int, int, int, bool) (*CRAID, *Array),
-	recs []trace.Record, spec string, shards, workers, lookahead int, affinity bool) (mqOutcome, FaultStats, []disk.Stats) {
-	t.Helper()
-	plan, err := fault.ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	c, arr := rig(eng, 64, shards, workers, lookahead, affinity)
-	rt, err := InstallFaults(arr, c, plan, testFaultOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.HasExpand() {
-		rt.SetDeviceFactory(nullFactory(eng))
-	}
-	n, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(recs)) {
-		t.Fatalf("replayed %d of %d", n, len(recs))
-	}
-	if err := rt.Err(); err != nil {
-		t.Fatal(err)
-	}
-	r, w := ioTotals(arr)
-	devs := make([]disk.Stats, arr.Devices())
-	for i := range devs {
-		devs[i] = *arr.Device(i).Stats()
-	}
-	return mqOutcome{
-		stats: *c.Stats(), reads: r, writes: w, maps: c.table.Len(),
-		readLat:  c.ReadLatency().String(),
-		writeLat: c.WriteLatency().String(),
-	}, *rt.Stats(), devs
-}
-
 // TestDoubleFaultDeterminismAcrossPipelines is the compound-failure
 // acceptance property: a second disk dies while the first one's
 // rebuild is walking, a crash-restart tears the rebuild down mid-walk,
@@ -129,7 +27,7 @@ func replayFaultRig(t *testing.T, rig func(*sim.Engine, int64, int, int, int, bo
 func TestDoubleFaultDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;fail:1@4ms;rebuild:1@6ms,rate=64;fail:4@9ms;crash@30ms;rebuild:4@40ms,rate=64"
 	recs := randomWorkload(13, 2500, 12000)
-	ref, refFaults, refDevs := replayFaultRig(t, newMQCRAID6Affinity, recs, spec, 1, 1, 0, false)
+	ref, refFaults, refDevs := replayFault(t, newRAID6CRAID, recs, spec)
 	if refFaults.Failures != 2 || refFaults.Restarts != 1 {
 		t.Fatalf("plan did not exercise the compound fabric: %+v", refFaults)
 	}
@@ -147,7 +45,7 @@ func TestDoubleFaultDeterminismAcrossPipelines(t *testing.T) {
 func TestStormDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;dev:1{transient@2ms-30ms,rate=0.05,lat=2};storm:crash@10ms,n=3,every=8ms"
 	recs := randomWorkload(11, 3000, 12000)
-	ref, refFaults, refDevs := replayFaultMQAffinity(t, recs, spec, 1, 1, 0, false)
+	ref, refFaults, refDevs := replayFault(t, newReplayCRAID, recs, spec)
 	if refFaults.Restarts != 3 {
 		t.Fatalf("storm fired %d restarts, want 3: %+v", refFaults.Restarts, refFaults)
 	}
@@ -163,7 +61,7 @@ func TestStormDeterminismAcrossPipelines(t *testing.T) {
 func TestExpandUnderLoadDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;expand@6ms,disks=2,retain;fail:4@12ms;rebuild:4@16ms,rate=64"
 	recs := randomWorkload(17, 3000, 12000)
-	ref, refFaults, refDevs := replayFaultMQAffinity(t, recs, spec, 1, 1, 0, false)
+	ref, refFaults, refDevs := replayFault(t, newReplayCRAID, recs, spec)
 	if refFaults.Upgrades != 1 || refFaults.ExpandMigrated == 0 {
 		t.Fatalf("retain upgrade did not migrate: %+v", refFaults)
 	}
@@ -393,10 +291,10 @@ func TestCrashDuringRebuildRestartsFromRowZero(t *testing.T) {
 // spelling the K crashes out individually.
 func TestStormMatchesExplicitCrashes(t *testing.T) {
 	recs := randomWorkload(19, 2500, 12000)
-	storm, stormFaults, stormDevs := replayFaultMQAffinity(t, recs,
-		"seed=5;storm:crash@10ms,n=3,every=7ms", 2, 2, testLookahead(), testAffinity())
-	flat, flatFaults, flatDevs := replayFaultMQAffinity(t, recs,
-		"seed=5;crash@10ms;crash@17ms;crash@24ms", 2, 2, testLookahead(), testAffinity())
+	storm, stormFaults, stormDevs := replayFault(t, newReplayCRAID, recs,
+		"seed=5;storm:crash@10ms,n=3,every=7ms")
+	flat, flatFaults, flatDevs := replayFault(t, newReplayCRAID, recs,
+		"seed=5;crash@10ms;crash@17ms;crash@24ms")
 	if stormFaults.Restarts != 3 {
 		t.Fatalf("storm fired %d restarts, want 3", stormFaults.Restarts)
 	}
@@ -428,7 +326,7 @@ func TestCrashRestartStormLogRingMatchesSyncControl(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.NewEngine()
-		c, arr := newMQCRAID(eng, 64, 16, 8, testLookahead())
+		c, arr := newReplayCRAID(eng, 64)
 		var log bytes.Buffer
 		var ring *mapcache.LogRing
 		if useRing {
@@ -531,8 +429,8 @@ func TestInstallFaultsValidatesDeviceIndices(t *testing.T) {
 // the write-back volume.
 func TestExpandInvalidateMidReplayWritesBackDirty(t *testing.T) {
 	recs := randomWorkload(23, 3000, 12000)
-	_, faults, devs := replayFaultMQAffinity(t, recs,
-		"seed=3;expand@8ms,disks=1", 2, 2, testLookahead(), testAffinity())
+	_, faults, devs := replayFault(t, newReplayCRAID, recs,
+		"seed=3;expand@8ms,disks=1")
 	if faults.Upgrades != 1 {
 		t.Fatalf("Upgrades = %d, want 1", faults.Upgrades)
 	}

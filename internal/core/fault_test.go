@@ -52,52 +52,6 @@ func nullFactory(eng *sim.Engine) func(n int) []disk.Device {
 	}
 }
 
-// replayFaultMQ replays recs on a fresh multi-queue CRAID with spec
-// armed, returning the full outcome fingerprint: controller stats and
-// histograms, fault counters, and every device's counter struct
-// (including Errors and Rejected).
-func replayFaultMQ(t *testing.T, recs []trace.Record, spec string, shards, workers, lookahead int) (mqOutcome, FaultStats, []disk.Stats) {
-	t.Helper()
-	return replayFaultMQAffinity(t, recs, spec, shards, workers, lookahead, testAffinity())
-}
-
-func replayFaultMQAffinity(t *testing.T, recs []trace.Record, spec string, shards, workers, lookahead int, affinity bool) (mqOutcome, FaultStats, []disk.Stats) {
-	t.Helper()
-	plan, err := fault.ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	c, arr := newMQCRAIDAffinity(eng, 64, shards, workers, lookahead, affinity)
-	rt, err := InstallFaults(arr, c, plan, testFaultOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.HasExpand() {
-		rt.SetDeviceFactory(nullFactory(eng))
-	}
-	n, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(recs)) {
-		t.Fatalf("replayed %d of %d", n, len(recs))
-	}
-	if err := rt.Err(); err != nil {
-		t.Fatal(err)
-	}
-	r, w := ioTotals(arr)
-	devs := make([]disk.Stats, arr.Devices())
-	for i := range devs {
-		devs[i] = *arr.Device(i).Stats()
-	}
-	return mqOutcome{
-		stats: *c.Stats(), reads: r, writes: w, maps: c.table.Len(),
-		readLat:  c.ReadLatency().String(),
-		writeLat: c.WriteLatency().String(),
-	}, *rt.Stats(), devs
-}
-
 // TestFaultDeterminismAcrossPipelines pins the whole outcome of a
 // fault plan — Stats, fault counters, per-device counters including
 // injected errors, and the latency histograms — against a golden
@@ -107,7 +61,7 @@ func replayFaultMQAffinity(t *testing.T, recs []trace.Record, spec string, shard
 func TestFaultDeterminismAcrossPipelines(t *testing.T) {
 	const spec = "seed=9;transient:1@5ms-25ms,rate=0.05,lat=3;fail:2@10ms;rebuild:2@20ms,rate=64"
 	recs := randomWorkload(11, 3000, 12000)
-	ref, refFaults, refDevs := replayFaultMQAffinity(t, recs, spec, 1, 1, 0, false)
+	ref, refFaults, refDevs := replayFault(t, newReplayCRAID, recs, spec)
 	if refFaults.Failures != 1 || refFaults.RebuildRows == 0 {
 		t.Fatalf("plan did not exercise the fabric: %+v", refFaults)
 	}
@@ -122,8 +76,8 @@ func TestFaultDeterminismAcrossPipelines(t *testing.T) {
 // equals a run with no fault runtime at all.
 func TestFaultHealthyPlanLeavesRunUntouched(t *testing.T) {
 	recs := randomWorkload(5, 2000, 12000)
-	plain, _ := replayMQLookahead(t, recs, 64, 2, 2, testLookahead(), ReplayConfig{})
-	armed, faults, _ := replayFaultMQ(t, recs, "seed=7", 2, 2, testLookahead())
+	plain := replayPlain(t, recs, 64, ReplayConfig{})
+	armed, faults, _ := replayFault(t, newReplayCRAID, recs, "seed=7")
 	if armed != plain {
 		t.Fatal("empty fault plan changed the run outcome")
 	}
@@ -512,7 +466,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.NewEngine()
-		c, arr := newMQCRAID(eng, 64, 16, 8, testLookahead())
+		c, arr := newReplayCRAID(eng, 64)
 		var log bytes.Buffer
 		var ring *mapcache.LogRing
 		if useRing {
@@ -585,7 +539,7 @@ func TestCrashRestartLogRingMatchesSyncControl(t *testing.T) {
 func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	recs := randomWorkload(29, 2500, 12000)
 	eng := sim.NewEngine()
-	c, arr := newMQCRAID(eng, 64, 4, 2, testLookahead())
+	c, arr := newReplayCRAID(eng, 64)
 	var log bytes.Buffer
 	c.SetMappingLog(&log)
 	if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
@@ -624,7 +578,6 @@ func TestCrashRecoveryMidExpandRetain(t *testing.T) {
 	paLayout := raid.NewRAID5(4, 4, 4096, 4)
 	c2 := mustCRAID(arr2, Config{
 		Policy: "WLRU", CachePerDisk: 64, ParityGroup: 4, StripeUnit: 4,
-		MapShards: 4, MonitorWorkers: 2, PlanLookahead: testLookahead(),
 	}, true, []int{0, 1, 2, 3, 4}, 0, paLayout, []int{0, 1, 2, 3}, 64)
 	n2, err := c2.Recover(bytes.NewReader(logBytes))
 	if err != nil {
@@ -684,7 +637,7 @@ func (w *stickyErrLog) Err() error { return w.err }
 func TestMappingLogErrorFailsRun(t *testing.T) {
 	recs := randomWorkload(3, 3000, 12000)
 	eng := sim.NewEngine()
-	c, _ := newMQCRAID(eng, 64, 4, 2, testLookahead())
+	c, _ := newReplayCRAID(eng, 64)
 	c.SetMappingLog(&stickyErrLog{limit: 4096})
 	_, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
 	if err == nil {

@@ -34,7 +34,7 @@ func writeFields(b *strings.Builder, prefix string, v any) {
 // formatOutcome renders a replay's outcome as golden text: controller
 // Stats, I/O totals, index population and latency histograms, then the
 // fault counters and per-device counters when given.
-func formatOutcome(o mqOutcome, faults *FaultStats, devs []disk.Stats) string {
+func formatOutcome(o runOutcome, faults *FaultStats, devs []disk.Stats) string {
 	var b strings.Builder
 	writeFields(&b, "stats", o.stats)
 	fmt.Fprintf(&b, "io.reads=%d\nio.writes=%d\nmappings=%d\n", o.reads, o.writes, o.maps)
@@ -68,5 +68,35 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("outcome differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestReplayStatsGolden pins Stats, I/O totals, index population and
+// latency histograms of the monitor on random workloads that mix hits,
+// misses, evictions and long extents, against a golden per seed.
+func TestReplayStatsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, seed := range []int64{1, 7, 23} {
+		recs := randomWorkload(seed, 4000, 12000)
+		got := replayPlain(t, recs, 64, ReplayConfig{})
+		fmt.Fprintf(&b, "# seed %d\n%s", seed, formatOutcome(got, nil, nil))
+	}
+	checkGolden(t, "replay_stats", b.String())
+}
+
+// TestReplayBatchSizeInvariant pins that the replay outcome is
+// insensitive to how the reader ring batches the stream: any batch size
+// and ring depth produce the same outcome.
+func TestReplayBatchSizeInvariant(t *testing.T) {
+	recs := randomWorkload(11, 3000, 12000)
+	ref := replayPlain(t, recs, 64, ReplayConfig{})
+	for _, cfg := range []ReplayConfig{
+		{BatchSize: 16, RingDepth: 1},
+		{BatchSize: 100, RingDepth: 2},
+		{BatchSize: 1024, RingDepth: 4},
+	} {
+		if got := replayPlain(t, recs, 64, cfg); got != ref {
+			t.Errorf("cfg %+v: outcome diverged\n got %+v\nwant %+v", cfg, got, ref)
+		}
 	}
 }

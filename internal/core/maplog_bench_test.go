@@ -1,0 +1,124 @@
+package core
+
+import (
+	"bufio"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"craid/internal/disk"
+	"craid/internal/mapcache"
+	"craid/internal/raid"
+	"craid/internal/sim"
+	"craid/internal/trace"
+)
+
+// logBenchCRAID is a 10-disk LRU CRAID on null devices with a cache
+// of 9 × 65536 data blocks.
+func logBenchCRAID(eng *sim.Engine) *CRAID {
+	arr := nullArray(eng, 10, 1<<30)
+	disks := make([]int, 10)
+	for i := range disks {
+		disks[i] = i
+	}
+	paLayout := raid.NewRAID5(10, 10, 400_000, 32)
+	return mustCRAID(arr, Config{
+		Policy:       "LRU",
+		CachePerDisk: 65536,
+		ParityGroup:  10,
+		StripeUnit:   32,
+	}, true, disks, 0, paLayout, disks, 65536)
+}
+
+// logBenchTrace is an eviction-churn write workload: 64-block write
+// extents sweeping twice the cache capacity, so the steady state is
+// continuous dirty insertion + eviction — every record appends dirty-
+// log entries, the regime where the synchronous appendLog was the
+// apply stage's next bottleneck.
+func logBenchTrace(n int) []trace.Record {
+	const span = 1_200_000 // ~2× pcData (9 × 65536 data blocks)
+	recs := make([]trace.Record, n)
+	var cursor int64
+	for i := range recs {
+		recs[i] = trace.Record{
+			Time:  sim.Time(i) * sim.Microsecond,
+			Op:    disk.OpWrite,
+			Block: (cursor * 4099) % span,
+			Count: 64,
+		}
+		cursor++
+	}
+	return recs
+}
+
+// BenchmarkMappingLogReplay measures the dirty-log write path under
+// eviction churn: no log, a synchronous log straight to a file (one
+// 17-byte Write syscall per transition, PR 3's only option), a
+// synchronous bufio-wrapped file (userspace batching, flush syscalls
+// still inline on the apply path), and the LogRing (batching AND the
+// Write itself on a background goroutine). The file lives in the bench
+// temp dir, so the syscall cost is a real file's.
+func BenchmarkMappingLogReplay(b *testing.B) {
+	recs := logBenchTrace(20_000)
+	run := func(b *testing.B, attach func(c *CRAID) func() error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := sim.NewEngine()
+			c := logBenchCRAID(eng)
+			done := attach(c)
+			b.StartTimer()
+			if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{}); err != nil {
+				b.Fatal(err)
+			}
+			if err := done(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(recs)), "records/op")
+	}
+	logFile := func(b *testing.B) *os.File {
+		f, err := os.Create(filepath.Join(b.TempDir(), "dirty.log"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f
+	}
+	b.Run("nolog", func(b *testing.B) {
+		run(b, func(c *CRAID) func() error { return func() error { return nil } })
+	})
+	b.Run("file-sync", func(b *testing.B) {
+		run(b, func(c *CRAID) func() error {
+			f := logFile(b)
+			c.SetMappingLog(f)
+			return f.Close
+		})
+	})
+	b.Run("bufio-sync", func(b *testing.B) {
+		run(b, func(c *CRAID) func() error {
+			f := logFile(b)
+			w := bufio.NewWriterSize(f, 32<<10)
+			c.SetMappingLog(w)
+			return func() error {
+				if err := w.Flush(); err != nil {
+					return err
+				}
+				return f.Close()
+			}
+		})
+	})
+	b.Run("ring", func(b *testing.B) {
+		run(b, func(c *CRAID) func() error {
+			f := logFile(b)
+			ring := mapcache.NewLogRing(f, 0, 0)
+			c.SetMappingLog(ring)
+			return func() error {
+				if err := ring.Close(); err != nil {
+					return err
+				}
+				return f.Close()
+			}
+		})
+	})
+}

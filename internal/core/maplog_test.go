@@ -11,68 +11,14 @@ import (
 	"craid/internal/trace"
 )
 
-// TestLookaheadPlanStageRuns pins that PlanLookahead actually engages
-// the overlapped pipeline — batches are planned on the plan stage, the
-// plan-side counters populate, and validated plans are applied — not
-// just that results match.
-func TestLookaheadPlanStageRuns(t *testing.T) {
-	recs := randomWorkload(5, 4000, 12000)
-	eng := sim.NewEngine()
-	c, _ := newMQCRAID(eng, 64, 16, 8, 1)
-	_, st, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{BatchSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PlannedBatches == 0 {
-		t.Fatalf("plan stage never planned: %+v", st)
-	}
-	if st.PlanHighWater < 1 {
-		t.Fatalf("plan ring never held a batch: %+v", st)
-	}
-	mq := *c.MQ()
-	if mq.Planned == 0 || mq.Applied+mq.Replanned != mq.Planned {
-		t.Fatalf("planned %d, applied %d + replanned %d", mq.Planned, mq.Applied, mq.Replanned)
-	}
-	if c.gated {
-		t.Fatal("plan gate still engaged after ReplayWith returned")
-	}
-}
-
-// TestLookaheadDegradesGracefully pins that lookahead without an
-// effective concurrent planner (one worker, or a single-shard index)
-// runs the plain pipeline: no plan stage, no planner activity, and the
-// sequential outcome.
-func TestLookaheadDegradesGracefully(t *testing.T) {
-	recs := randomWorkload(9, 2000, 8000)
-	ref, _ := replayMQLookahead(t, recs, 64, 1, 1, 0, ReplayConfig{})
-	for _, tc := range []struct{ shards, workers int }{{16, 1}, {1, 8}} {
-		eng := sim.NewEngine()
-		c, _ := newMQCRAID(eng, 64, tc.shards, tc.workers, 1)
-		_, st, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.PlannedBatches != 0 || st.PlanHighWater != 0 {
-			t.Errorf("shards=%d workers=%d: plan stage ran: %+v", tc.shards, tc.workers, st)
-		}
-		if got := *c.MQ(); got != (MQStats{}) {
-			t.Errorf("shards=%d workers=%d: planner ran: %+v", tc.shards, tc.workers, got)
-		}
-		if *c.Stats() != ref.stats {
-			t.Errorf("shards=%d workers=%d: stats diverged", tc.shards, tc.workers)
-		}
-	}
-}
-
-// replayLogged replays recs on a fresh multi-queue controller with the
-// given lookahead, logging dirty translations to w, and returns the
-// controller.
-func replayLogged(t *testing.T, recs []trace.Record, lookahead int, w interface {
+// replayLogged replays recs on a fresh controller logging dirty
+// translations to w, and returns the controller.
+func replayLogged(t *testing.T, recs []trace.Record, w interface {
 	Write([]byte) (int, error)
 }) *CRAID {
 	t.Helper()
 	eng := sim.NewEngine()
-	c, _ := newMQCRAID(eng, 64, 16, 8, lookahead)
+	c, _ := newReplayCRAID(eng, 64)
 	c.SetMappingLog(w)
 	if _, _, err := ReplayWith(eng, c, trace.NewSlice(recs), ReplayConfig{BatchSize: 200}); err != nil {
 		t.Fatal(err)
@@ -80,22 +26,21 @@ func replayLogged(t *testing.T, recs []trace.Record, lookahead int, w interface 
 	return c
 }
 
-// TestLookaheadLogRingRecovery is the end-to-end batched-flush
-// property: a mapping log written through mapcache.LogRing by the
-// overlapped pipeline is byte-identical to the synchronous log the
-// sequential pipeline writes, and a crash cut at an arbitrary byte of
-// either recovers the same mappings into a fresh controller. The small
-// cache forces heavy eviction churn, so the log carries all three
-// record kinds.
-func TestLookaheadLogRingRecovery(t *testing.T) {
+// TestLogRingReplayRecovery is the end-to-end batched-flush property: a
+// mapping log written through mapcache.LogRing during a replay is
+// byte-identical to the synchronous log, and a crash cut at an
+// arbitrary byte of either recovers the same mappings into a fresh
+// controller. The small cache forces heavy eviction churn, so the log
+// carries all three record kinds.
+func TestLogRingReplayRecovery(t *testing.T) {
 	recs := randomWorkload(31, 3000, 12000)
 
 	var syncLog bytes.Buffer
-	replayLogged(t, recs, 0, &syncLog)
+	replayLogged(t, recs, &syncLog)
 
 	var ringLog bytes.Buffer
 	ring := mapcache.NewLogRing(&ringLog, 512, 3)
-	replayLogged(t, recs, 1, ring)
+	replayLogged(t, recs, ring)
 	if err := ring.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +56,7 @@ func TestLookaheadLogRingRecovery(t *testing.T) {
 	for _, cut := range []int{0, 17, total / 2, total/2 + 9, total - 1, total} {
 		recover := func(log []byte) (int, []mapcache.Mapping) {
 			eng := sim.NewEngine()
-			c, _ := newMQCRAID(eng, 64, 16, 8, 0)
+			c, _ := newReplayCRAID(eng, 64)
 			n, err := c.Recover(bytes.NewReader(log))
 			if err != nil {
 				t.Fatalf("cut %d: %v", cut, err)

@@ -86,6 +86,37 @@ func TestHDDGeometryCoversCapacity(t *testing.T) {
 	}
 }
 
+// TestHDDTinyDiskServiceTimesFinite pins disks scaled below one
+// cylinder per zone (a few thousand blocks, as tiny experiment budgets
+// produce): every block locates on a non-negative cylinder, and every
+// seek and whole-request service time is finite and non-negative. Such
+// layouts used to count zero or one cylinder, and the singular seek
+// fit's NaN turned into a huge negative delay.
+func TestHDDTinyDiskServiceTimesFinite(t *testing.T) {
+	for _, capacity := range []int64{1, 100, 500, 1414, 1971, 3000, 6000} {
+		eng := sim.NewEngine()
+		cfg := CheetahConfig("tiny")
+		cfg.CapacityBlocks = capacity
+		d := NewHDD(eng, cfg)
+		if d.totalCyls < 1 {
+			t.Fatalf("capacity %d: %d cylinders", capacity, d.totalCyls)
+		}
+		for b := int64(0); b < capacity; b++ {
+			_, cyl, _ := d.locate(b)
+			if got := d.seekTime(cyl); cyl < 0 || got < 0 || got > sim.Second {
+				t.Fatalf("capacity %d: block %d on cylinder %d, seek from 0 takes %v", capacity, b, cyl, got)
+			}
+		}
+		for _, b := range []int64{capacity - 1, 0, capacity / 2, capacity - 1} {
+			for _, op := range []Op{OpRead, OpWrite} {
+				if got := runOne(t, eng, d, op, b, 1); got < 0 || got > sim.Second {
+					t.Fatalf("capacity %d: %v of block %d took %v", capacity, op, b, got)
+				}
+			}
+		}
+	}
+}
+
 func TestHDDZonedDensityDecreasesInward(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewHDD(eng, CheetahConfig("hdd0"))

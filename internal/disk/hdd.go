@@ -235,12 +235,26 @@ func (d *HDD) buildZones() {
 		cyl += zn.cylinders
 	}
 	d.totalCyls = cyl
+	if d.totalCyls < 3 {
+		// A disk with fewer cylinders than zones covers its capacity
+		// before the last zone, which then stretches to a non-positive
+		// size and shrinks the count — to zero or one cylinder on the
+		// smallest disks, leaving no stroke to calibrate a seek curve
+		// against. Count the cylinders the blocks occupy instead.
+		_, lastCyl, _ := d.locate(cfg.CapacityBlocks - 1)
+		d.totalCyls = lastCyl + 1
+	}
 }
 
 // calibrateSeek solves seek(d) = TrackToTrack + b*sqrt(d) + c*d for b, c
 // such that seek(totalCyls/3) = AvgSeek (mean seek distance of uniform
-// random pairs is N/3) and seek(totalCyls-1) = FullSeek.
+// random pairs is N/3) and seek(totalCyls-1) = FullSeek. A one-cylinder
+// disk never seeks and makes the system singular, so b = c = 0 there.
 func (d *HDD) calibrateSeek() {
+	if d.totalCyls < 2 {
+		d.seekB, d.seekC = 0, 0
+		return
+	}
 	cfg := &d.cfg
 	n := float64(d.totalCyls)
 	x1, y1 := n/3, float64(cfg.AvgSeek-cfg.TrackToTrack)

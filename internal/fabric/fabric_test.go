@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -653,4 +655,84 @@ func TestFabricClientDoesNotRetryRejection(t *testing.T) {
 	if n := flaky.total.Load(); n != 1 {
 		t.Fatalf("4xx retried: %d attempts, want 1", n)
 	}
+}
+
+// TestServerRejectsOversizedBodies pins the request size ceilings: an
+// oversized body on any of the four POST endpoints is answered 413 and
+// leaves the queue, the leases and the result store exactly as they
+// were.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	defer func(job, complete int64) { maxJobBody, maxCompleteBody = job, complete }(maxJobBody, maxCompleteBody)
+	maxJobBody, maxCompleteBody = 4<<10, 4<<10
+
+	srv, err := NewServer(Options{Store: newTestStore(t), LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	// One legitimately leased cell, so an oversized completion has a
+	// live lease to (fail to) resolve.
+	cfg := cheapCell("LRU", 500)
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		srv.Submit([]experiments.RunConfig{cfg}, func(experiments.CellResult) {})
+	}()
+	var l *Lease
+	for l == nil {
+		if l, err = srv.Lease(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Stats()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	pad := strings.Repeat("x", int(maxControlBody))
+	cells := make([]experiments.RunConfig, 64)
+	for i := range cells {
+		cells[i] = cheapCell("ARC", int64(100+i))
+	}
+	jobBody, _ := json.Marshal(jobRequest{Cells: cells})
+	big := experiments.RunResult{Cfg: cfg, CVs: make([]float64, 4096)}
+	completeBody, _ := json.Marshal(completeRequest{LeaseID: l.ID, Hash: l.Hash, Result: &big})
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/jobs", jobBody},
+		{"/v1/lease", []byte(`{"wait_ms":1,"pad":"` + pad + `"}`)},
+		{"/v1/heartbeat", []byte(`{"lease_id":1,"pad":"` + pad + `"}`)},
+		{"/v1/complete", completeBody},
+	} {
+		if code := post(tc.path, tc.body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", tc.path, len(tc.body), code)
+		}
+	}
+	if after := srv.Stats(); !reflect.DeepEqual(after, before) {
+		t.Errorf("oversized bodies changed the service:\n got %+v\nwant %+v", after, before)
+	}
+	if n, _ := srv.store.Len(); n != 0 {
+		t.Errorf("store holds %d entries after a rejected completion", n)
+	}
+
+	// The lease is still live: a proper completion resolves the cell.
+	res, err := experiments.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Complete(l.ID, l.Hash, res, "") {
+		t.Fatal("lease did not survive the rejected completion")
+	}
+	<-submitted
 }

@@ -62,6 +62,18 @@ type (
 	}
 )
 
+// Request body ceilings, enforced with http.MaxBytesReader so a
+// hostile or buggy client cannot make the service buffer an unbounded
+// body. A completion carries a whole RunResult, whose per-second series
+// (CVs, SeqFracs) reach tens of MB for a week-long trace; a job carries
+// a few hundred bytes per cell; lease and heartbeat bodies are one
+// small object. Variables rather than constants so tests can lower them.
+var (
+	maxJobBody      int64 = 32 << 20
+	maxCompleteBody int64 = 256 << 20
+	maxControlBody  int64 = 64 << 10
+)
+
 // Options configures a Server.
 type Options struct {
 	// Store caches completed cells content-addressed by config hash.
@@ -243,8 +255,7 @@ func (s *Server) Handler() http.Handler {
 // connection open for the duration; a cached batch answers instantly).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "fabric: bad job request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxJobBody, "job request", &req) {
 		return
 	}
 	if len(req.Cells) == 0 {
@@ -277,8 +288,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "fabric: bad lease request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxControlBody, "lease request", &req) {
 		return
 	}
 	wait := time.Duration(req.WaitMillis) * time.Millisecond
@@ -303,8 +313,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "fabric: bad heartbeat: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxControlBody, "heartbeat", &req) {
 		return
 	}
 	if !s.sched.heartbeat(req.LeaseID) {
@@ -316,8 +325,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "fabric: bad completion: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxCompleteBody, "completion", &req) {
 		return
 	}
 	var res experiments.RunResult
@@ -330,6 +338,23 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Stats())
+}
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it answers 413 (body over the limit) or 400 (malformed)
+// itself and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("fabric: %s exceeds %d bytes", what, limit), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "fabric: bad "+what+": "+err.Error(), http.StatusBadRequest)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

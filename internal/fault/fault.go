@@ -7,10 +7,9 @@
 // Determinism is the design center. Verdicts are drawn by hashing
 // (plan seed, device, per-device submission counter) with the
 // splitmix64 finalizer — no shared RNG stream, no wall clock — and the
-// single-threaded engine submits each device's requests in an order
-// that is bit-identical at every monitor shards/workers/lookahead
-// setting, so the same plan + seed replays the same failures down to
-// the event.
+// single-threaded engine submits each device's requests in a fixed
+// order, so the same plan + seed replays the same failures down to the
+// event.
 package fault
 
 import (

@@ -11,17 +11,6 @@
 // dirty cached copies — the only ones that differ from the original
 // data — can be located and recovered, while clean entries are simply
 // invalidated.
-//
-// The index is sharded by contiguous archive-address range: shard i of
-// an n-shard table owns [i*span, (i+1)*span) (the last shard is
-// unbounded above), each with a private AVL tree and node freelist.
-// Sharding changes nothing observable — every operation, including the
-// run APIs, behaves exactly as on a single tree (property-tested) — but
-// it bounds each tree's height by its shard's population and gives a
-// future multi-queue controller disjoint structures to lock or own per
-// queue. Run operations that span a shard boundary are stitched: a run
-// contiguous in both Orig and Cache across the boundary is reported
-// whole, and a gap crossing shards is summed until the next mapping.
 package mapcache
 
 import (
@@ -30,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
@@ -41,91 +29,22 @@ type Mapping struct {
 	Dirty bool  // cached copy differs from the original
 }
 
-// Index is the mapping-cache contract the CRAID monitor programs
-// against: point and run-granularity translation updates, ordered
-// iteration, and the §4.2 dirty-log hooks. Table is the tree-backed
-// implementation; alternatives (ART, B+-tree, a lock-per-shard
-// concurrent table) only need to satisfy this interface.
-type Index interface {
-	// Len returns the number of mappings; Bytes their memory footprint
-	// per the paper's accounting.
-	Len() int
-	Bytes() int64
-
-	// Lookup returns the mapping for orig. LookupRun additionally
-	// reports, in one descent, the contiguous hit run or miss gap
-	// starting at orig (see Table.LookupRun for the exact contract).
-	Lookup(orig int64) (Mapping, bool)
-	LookupRun(orig, max int64) (Mapping, int64, bool)
-
-	// IsDirty reports whether orig is mapped with its dirty flag set,
-	// in O(1): the eviction path probes dirtiness for a window of
-	// victim candidates per eviction, and a tree descent per probe
-	// dominated whole replays before this existed.
-	IsDirty(orig int64) bool
-
-	// Insert adds or replaces one mapping; InsertRun inserts the n
-	// consecutive translations orig+i → cache+i.
-	Insert(m Mapping)
-	InsertRun(orig, cache, n int64, dirty bool)
-
-	// Remove deletes the mapping for orig; RemoveRun deletes every
-	// mapping in [orig, orig+n), returning how many existed.
-	Remove(orig int64) bool
-	RemoveRun(orig, n int64) int64
-
-	// SetDirty and SetDirtyRun update dirty flags, logging transitions.
-	SetDirty(orig int64, dirty bool) bool
-	SetDirtyRun(orig, n int64, dirty bool) int64
-
-	// Walk visits all mappings in ascending Orig order until fn
-	// returns false. DirtyMappings returns the dirty subset, ascending.
-	Walk(fn func(Mapping) bool)
-	DirtyMappings() []Mapping
-
-	// Clear removes all mappings.
-	Clear()
-
-	// SetLog directs persistent logging of dirty-state transitions to
-	// w (nil disables). The log format is shard-agnostic: a log written
-	// by any Index recovers into any other via Recover.
-	SetLog(w io.Writer)
-
-	// Shards, ShardOf and ShardBound expose the address-range sharding
-	// geometry so a concurrent planner can route lookups: ShardOf(orig)
-	// is the shard owning orig, ShardBound(i) the first address beyond
-	// shard i's range (math.MaxInt64 for the last shard). A single-tree
-	// index reports one shard covering everything.
-	Shards() int
-	ShardOf(orig int64) int
-	ShardBound(i int) int64
-
-	// ShardVersion returns a counter bumped on every *structural*
-	// mutation of shard i — Insert, Remove, RemoveRun, Clear: anything
-	// that can change which addresses are mapped or where they point.
-	// SetDirty/SetDirtyRun are exempt: they flip flags on existing
-	// entries without moving a single Orig→Cache translation, so every
-	// LookupRun classification (run boundaries and cache addresses)
-	// made at version v remains exact while the version stays v. A
-	// planner snapshots versions with its read-only lookups and
-	// re-validates before trusting a plan.
-	ShardVersion(i int) uint64
-}
-
-// Table is the sharded mapping cache. The zero value is an empty
-// single-shard table ready to use. Mutations are single-threaded
-// (CRAID's apply stage is event-driven and sequential, like a real
-// controller's interrupt context), but the lookup path — Lookup,
-// LookupRun, Len, ShardOf/ShardBound/ShardVersion — is pure and safe
-// for any number of concurrent readers *while no mutation runs*: the
-// multi-queue controller's plan phase partitions a batch by address
-// range and classifies shard groups in parallel between apply steps,
-// which is exactly that window.
+// Table is the mapping cache: one AVL tree keyed by archive address,
+// with a node freelist so the monitor's steady-state evict/re-insert
+// churn allocates nothing. The zero value is an empty table ready to
+// use. Not safe for concurrent use: the CRAID monitor that owns it is
+// single-threaded, like a real controller's interrupt context.
 type Table struct {
-	shards []shard
-	span   int64     // addresses per shard; 0 with a single shard
-	size   int       // total mappings across shards
-	log    io.Writer // optional persistent dirty log
+	root *node
+	size int
+	free *node // removed nodes, chained through right
+
+	// scratch for the last insert descent (replacement detection
+	// without a second lookup descent when logging is enabled).
+	replaced Mapping
+	existed  bool
+
+	log io.Writer // optional persistent dirty log
 
 	// logRec is appendLog's encode scratch. A local array would escape
 	// to the heap at the io.Writer call — one allocation per logged
@@ -135,94 +54,12 @@ type Table struct {
 
 	// dirty is the O(1) membership set behind IsDirty: the Orig of
 	// every mapping whose Dirty flag is set. Maintained at the same
-	// choke points that write the persistent dirty log. Mutated only on
-	// the single-threaded apply path; IsDirty runs there too (the
-	// eviction victim scan), never concurrently with a mutation.
+	// choke points that write the persistent dirty log.
 	dirty dirtySet
 }
 
-var _ Index = (*Table)(nil)
-
-// New returns an empty single-shard table.
+// New returns an empty table.
 func New() *Table { return &Table{} }
-
-// NewSharded returns an empty table of n shards, shard i owning
-// addresses [i*span, (i+1)*span) and the last shard unbounded above.
-// span must be positive when n > 1; n < 1 is clamped to 1.
-func NewSharded(n int, span int64) *Table {
-	if n < 1 {
-		n = 1
-	}
-	if n > 1 && span < 1 {
-		panic("mapcache: NewSharded needs a positive span for n > 1 shards")
-	}
-	return &Table{shards: make([]shard, n), span: span}
-}
-
-// Shards returns the shard count.
-func (t *Table) Shards() int {
-	if len(t.shards) == 0 {
-		return 1
-	}
-	return len(t.shards)
-}
-
-// init materializes the single shard of a zero-value Table.
-func (t *Table) init() {
-	if len(t.shards) == 0 {
-		t.shards = make([]shard, 1)
-	}
-}
-
-// idx returns the shard index owning orig.
-func (t *Table) idx(orig int64) int {
-	if len(t.shards) == 1 || orig < t.span {
-		return 0
-	}
-	i := int(orig / t.span)
-	if i >= len(t.shards) {
-		i = len(t.shards) - 1
-	}
-	return i
-}
-
-// bound returns the first address beyond shard i's range.
-func (t *Table) bound(i int) int64 {
-	if i >= len(t.shards)-1 {
-		return math.MaxInt64
-	}
-	return int64(i+1) * t.span
-}
-
-// ShardOf returns the shard index owning orig.
-func (t *Table) ShardOf(orig int64) int {
-	if len(t.shards) == 0 {
-		return 0
-	}
-	return t.idx(orig)
-}
-
-// ShardBound returns the first address beyond shard i's range
-// (math.MaxInt64 for the last shard).
-func (t *Table) ShardBound(i int) int64 { return t.bound(i) }
-
-// ShardVersion returns shard i's structural-mutation counter (see
-// Index.ShardVersion). A zero-value Table reports version 0 for its
-// not-yet-materialized single shard.
-func (t *Table) ShardVersion(i int) uint64 {
-	if i < 0 || i >= len(t.shards) {
-		return 0
-	}
-	return t.shards[i].ver
-}
-
-// capRun limits max to not cross the boundary at bound from orig.
-func capRun(orig, max, bound int64) int64 {
-	if bound != math.MaxInt64 && bound-orig < max {
-		return bound - orig
-	}
-	return max
-}
 
 // SetLog directs persistent logging of dirty-state transitions to w.
 // Passing nil disables logging.
@@ -239,41 +76,24 @@ func (t *Table) Bytes() int64 {
 	return (int64(t.size)*perEntryBits + 7) / 8
 }
 
-// Lookup returns the mapping for orig.
-func (t *Table) Lookup(orig int64) (Mapping, bool) {
-	if len(t.shards) == 0 {
-		return Mapping{}, false
-	}
-	return t.shards[t.idx(orig)].lookup(orig)
-}
-
 // IsDirty reports whether orig is mapped with its dirty flag set, in
 // O(1) via the dirty-membership set (equivalent to Lookup + Dirty,
-// property-pinned by the table tests).
+// property-pinned by the table tests). The eviction path probes
+// dirtiness for a window of victim candidates per eviction, and a tree
+// descent per probe dominated whole replays before this existed.
 func (t *Table) IsDirty(orig int64) bool { return t.dirty.has(orig) }
-
-// dirtyAdd records orig as dirty in the membership set.
-func (t *Table) dirtyAdd(orig int64) { t.dirty.add(orig) }
-
-// dirtyDel removes orig from the membership set.
-func (t *Table) dirtyDel(orig int64) { t.dirty.del(orig) }
 
 // Insert adds or replaces the mapping for m.Orig.
 func (t *Table) Insert(m Mapping) {
-	t.init()
-	s := &t.shards[t.idx(m.Orig)]
-	s.existed = false
-	s.ver++
-	before := s.size
-	s.root = s.insert(s.root, m)
-	t.size += s.size - before
+	t.existed = false
+	t.root = t.insert(t.root, m)
 	switch {
 	case m.Dirty:
-		t.dirtyAdd(m.Orig)
+		t.dirty.add(m.Orig)
 		t.appendLog(logInsert, m)
-	case s.existed && s.replaced.Dirty:
+	case t.existed && t.replaced.Dirty:
 		// A clean copy replaced a dirty one: the dirty state is gone.
-		t.dirtyDel(m.Orig)
+		t.dirty.del(m.Orig)
 		t.appendLog(logClean, Mapping{Orig: m.Orig})
 	}
 }
@@ -289,144 +109,14 @@ func (t *Table) InsertRun(orig, cache, n int64, dirty bool) {
 
 // Remove deletes the mapping for orig, reporting whether it existed.
 func (t *Table) Remove(orig int64) bool {
-	t.init()
-	s := &t.shards[t.idx(orig)]
 	var removed bool
-	s.root, removed = s.remove(s.root, orig)
+	t.root, removed = t.remove(t.root, orig)
 	if removed {
-		s.ver++
-		s.size--
 		t.size--
-		t.dirtyDel(orig)
+		t.dirty.del(orig)
 		t.appendLog(logRemove, Mapping{Orig: orig})
 	}
 	return removed
-}
-
-// RemoveRun deletes every mapping in [orig, orig+n), returning how many
-// existed — equivalent to a loop of Remove over the range, but existing
-// keys are discovered by successor walking so sparse ranges don't pay a
-// descent per absent address.
-func (t *Table) RemoveRun(orig, n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	t.init()
-	end := orig + n
-	var removed int64
-	for orig < end {
-		i := t.idx(orig)
-		segEnd := end
-		if b := t.bound(i); b < segEnd {
-			segEnd = b
-		}
-		removed += t.shards[i].removeRun(t, orig, segEnd)
-		orig = segEnd
-	}
-	t.size -= int(removed)
-	return removed
-}
-
-// SetDirty updates the dirty flag for orig, reporting whether the entry
-// exists. Transitions are logged so dirty blocks are recoverable.
-func (t *Table) SetDirty(orig int64, dirty bool) bool {
-	if len(t.shards) == 0 {
-		return false
-	}
-	return t.shards[t.idx(orig)].setDirty(t, orig, dirty)
-}
-
-// SetDirtyRun updates the dirty flag of every existing mapping in
-// [orig, orig+n) — equivalent to a loop of SetDirty — using one descent
-// per touched shard plus successor walking. It returns how many
-// mappings were found. Transitions are logged so dirty blocks stay
-// recoverable.
-func (t *Table) SetDirtyRun(orig, n int64, dirty bool) int64 {
-	if n <= 0 {
-		return 0
-	}
-	t.init()
-	end := orig + n
-	var found int64
-	for orig < end {
-		i := t.idx(orig)
-		segEnd := end
-		if b := t.bound(i); b < segEnd {
-			segEnd = b
-		}
-		found += t.shards[i].setDirtyRun(t, orig, segEnd, dirty)
-		orig = segEnd
-	}
-	return found
-}
-
-// LookupRun inspects the run starting at orig in a single descent per
-// touched shard (one descent total unless the run or gap crosses a
-// shard boundary, which the capped segment loop stitches seamlessly).
-//
-// If orig is mapped it returns its mapping, ok=true, and n = the length
-// (capped at max) of the contiguous run of mappings starting at orig
-// whose Orig AND Cache addresses both advance by one per entry — the
-// extent a redirector can serve with one cache-partition I/O.
-//
-// If orig is unmapped it returns ok=false and n = the number of
-// consecutive unmapped addresses starting at orig (capped at max), i.e.
-// the gap to the next mapping.
-//
-// Within a shard the run is discovered by walking in-order successors
-// from the initial descent's search path, so a whole extent costs one
-// O(log k) descent plus O(n) amortized pointer chasing instead of n
-// descents.
-func (t *Table) LookupRun(orig, max int64) (m Mapping, n int64, ok bool) {
-	if max <= 0 {
-		return Mapping{}, 0, false
-	}
-	if len(t.shards) == 0 {
-		return Mapping{}, max, false
-	}
-	i := t.idx(orig)
-	bound := t.bound(i)
-	m, n, ok = t.shards[i].lookupRun(orig, capRun(orig, max, bound))
-	if ok {
-		// The run filled its shard segment exactly: it may continue in
-		// the next shard — contiguous iff the next shard's first
-		// address is mapped with the expected cache successor.
-		for n < max && orig+n == bound {
-			i++
-			b2 := t.bound(i)
-			m2, n2, ok2 := t.shards[i].lookupRun(bound, capRun(bound, max-n, b2))
-			if !ok2 || m2.Cache != m.Cache+n {
-				break
-			}
-			n += n2
-			bound = b2
-		}
-		return m, n, true
-	}
-	// The gap reached the shard boundary: keep summing gaps until a
-	// mapping bounds it or max is exhausted.
-	for n < max && orig+n == bound {
-		i++
-		b2 := t.bound(i)
-		_, g, ok2 := t.shards[i].lookupRun(bound, capRun(bound, max-n, b2))
-		if ok2 {
-			break
-		}
-		n += g
-		bound = b2
-	}
-	return Mapping{}, n, false
-}
-
-// Walk visits all mappings in ascending Orig order (shards own
-// contiguous address ranges, so shard order is address order).
-// Returning false from fn stops the walk.
-func (t *Table) Walk(fn func(Mapping) bool) {
-	for i := range t.shards {
-		if !t.shards[i].walk(fn) {
-			return
-		}
-	}
 }
 
 // DirtyMappings returns all dirty entries in ascending Orig order.
@@ -443,11 +133,7 @@ func (t *Table) DirtyMappings() []Mapping {
 
 // Clear removes all mappings.
 func (t *Table) Clear() {
-	for i := range t.shards {
-		t.shards[i].root = nil
-		t.shards[i].size = 0
-		t.shards[i].ver++
-	}
+	t.root = nil
 	t.size = 0
 	t.dirty.clear()
 }
@@ -479,10 +165,7 @@ func (t *Table) appendLog(kind byte, m Mapping) {
 // Recover replays a dirty log and returns the mappings that were dirty
 // when the log ended — the blocks whose cached copies must be restored
 // after a crash (paper §4.2: clean blocks are invalidated, dirty ones
-// recovered from their logged translations). The log carries no shard
-// geometry: a log written by a single-shard table recovers into a
-// sharded one (and vice versa), with the receiving Index rebuilding its
-// own structure as the mappings are re-inserted.
+// recovered from their logged translations).
 func Recover(r io.Reader) ([]Mapping, error) {
 	br := bufio.NewReader(r)
 	dirty := make(map[int64]int64)

@@ -213,7 +213,7 @@ func TestAVLInvariantsUnderChurn(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", tb.Len(), len(live))
 		}
 	}
-	checkAVL(t, tb.shards[0].root, -1, 1<<62)
+	checkAVL(t, tb.root, -1, 1<<62)
 }
 
 // Property: the table behaves exactly like a map reference model.
@@ -262,7 +262,7 @@ func TestPropertyHeightLogarithmic(t *testing.T) {
 	for i := int64(0); i < 1<<14; i++ {
 		tb.Insert(Mapping{Orig: i}) // worst case: sorted inserts
 	}
-	h := int(height(tb.shards[0].root))
+	h := int(height(tb.root))
 	if h > 21 { // 1.44 * log2(16384) ≈ 20.2
 		t.Errorf("height = %d for 16384 sorted inserts, want <= 21", h)
 	}
@@ -387,60 +387,53 @@ func BenchmarkTableInsertRemove(b *testing.B) {
 
 // TestPropertyIsDirtyMatchesLookup drives randomized operation streams
 // — point and run inserts/removes/dirty flips, clears, log-attached
-// and not — through sharded and single-tree tables and pins IsDirty
-// bit-identical to the Lookup-based definition at every step.
+// and not — and pins IsDirty bit-identical to the Lookup-based
+// definition at every step.
 func TestPropertyIsDirtyMatchesLookup(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			var tb *Table
-			if shards == 1 {
-				tb = New()
-			} else {
-				tb = NewSharded(shards, 256)
-			}
-			if seed%2 == 0 {
-				tb.SetLog(&bytes.Buffer{})
-			}
-			const span = 1024
-			check := func(step int) {
-				for k := int64(0); k < span; k++ {
-					m, ok := tb.Lookup(k)
-					want := ok && m.Dirty
-					if got := tb.IsDirty(k); got != want {
-						t.Fatalf("shards=%d seed=%d step %d: IsDirty(%d)=%v, Lookup says %v",
-							shards, seed, step, k, got, want)
-					}
-				}
-			}
-			for step := 0; step < 400; step++ {
-				k := rng.Int63n(span)
-				n := rng.Int63n(64) + 1
-				switch rng.Intn(8) {
-				case 0:
-					tb.Insert(Mapping{Orig: k, Cache: k + 10000, Dirty: rng.Intn(2) == 0})
-				case 1:
-					tb.InsertRun(k, k+10000, n, rng.Intn(2) == 0)
-				case 2:
-					tb.Remove(k)
-				case 3:
-					tb.RemoveRun(k, n)
-				case 4:
-					tb.SetDirty(k, rng.Intn(2) == 0)
-				case 5:
-					tb.SetDirtyRun(k, n, rng.Intn(2) == 0)
-				case 6:
-					if rng.Intn(20) == 0 {
-						tb.Clear()
-					}
-				default:
-					tb.SetDirtyRun(k, n, true)
-				}
-				if step%40 == 0 {
-					check(step)
-				}
-			}
-			check(400)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := New()
+		if seed%2 == 0 {
+			tb.SetLog(&bytes.Buffer{})
 		}
+		const span = 1024
+		check := func(step int) {
+			for k := int64(0); k < span; k++ {
+				m, ok := tb.Lookup(k)
+				want := ok && m.Dirty
+				if got := tb.IsDirty(k); got != want {
+					t.Fatalf("seed=%d step %d: IsDirty(%d)=%v, Lookup says %v",
+						seed, step, k, got, want)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			k := rng.Int63n(span)
+			n := rng.Int63n(64) + 1
+			switch rng.Intn(8) {
+			case 0:
+				tb.Insert(Mapping{Orig: k, Cache: k + 10000, Dirty: rng.Intn(2) == 0})
+			case 1:
+				tb.InsertRun(k, k+10000, n, rng.Intn(2) == 0)
+			case 2:
+				tb.Remove(k)
+			case 3:
+				tb.RemoveRun(k, n)
+			case 4:
+				tb.SetDirty(k, rng.Intn(2) == 0)
+			case 5:
+				tb.SetDirtyRun(k, n, rng.Intn(2) == 0)
+			case 6:
+				if rng.Intn(20) == 0 {
+					tb.Clear()
+				}
+			default:
+				tb.SetDirtyRun(k, n, true)
+			}
+			if step%40 == 0 {
+				check(step)
+			}
+		}
+		check(400)
 	}
 }

@@ -1,31 +1,5 @@
 package mapcache
 
-// shard is one AVL tree over a contiguous range of archive addresses,
-// with a private node freelist so steady-state churn in one shard never
-// contends with (or allocates on behalf of) another. All methods assume
-// the caller already routed the address range to this shard; run
-// operations are capped at the shard's range boundary by the Table.
-type shard struct {
-	root *node
-	size int
-
-	// ver counts structural mutations (insert/remove/clear) of this
-	// shard — see Index.ShardVersion for the exact contract. Written
-	// only by the (single-threaded) mutating path; planners read it
-	// between mutations, never concurrently with one.
-	ver uint64
-
-	// freelist of removed nodes, chained through right: the monitor
-	// continuously evicts and re-inserts mappings, so steady-state
-	// churn allocates nothing.
-	free *node
-
-	// scratch for the last insert descent (replacement detection
-	// without a second lookup descent when logging is enabled).
-	replaced Mapping
-	existed  bool
-}
-
 // node is an AVL tree node keyed by Orig.
 type node struct {
 	m           Mapping
@@ -33,8 +7,9 @@ type node struct {
 	height      int8
 }
 
-func (s *shard) lookup(orig int64) (Mapping, bool) {
-	n := s.root
+// Lookup returns the mapping for orig.
+func (t *Table) Lookup(orig int64) (Mapping, bool) {
+	n := t.root
 	for n != nil {
 		switch {
 		case orig < n.m.Orig:
@@ -48,9 +23,21 @@ func (s *shard) lookup(orig int64) (Mapping, bool) {
 	return Mapping{}, false
 }
 
-// lookupRun is Table.LookupRun restricted to this shard: the Table caps
-// max at the shard boundary and stitches runs/gaps across shards.
-func (s *shard) lookupRun(orig, max int64) (m Mapping, n int64, ok bool) {
+// LookupRun inspects the run starting at orig in a single descent.
+//
+// If orig is mapped it returns its mapping, ok=true, and n = the length
+// (capped at max) of the contiguous run of mappings starting at orig
+// whose Orig AND Cache addresses both advance by one per entry — the
+// extent a redirector can serve with one cache-partition I/O.
+//
+// If orig is unmapped it returns ok=false and n = the number of
+// consecutive unmapped addresses starting at orig (capped at max), i.e.
+// the gap to the next mapping.
+//
+// The run is discovered by walking in-order successors from the
+// initial descent's search path, so a whole extent costs one O(log k)
+// descent plus O(n) amortized pointer chasing instead of n descents.
+func (t *Table) LookupRun(orig, max int64) (m Mapping, n int64, ok bool) {
 	if max <= 0 {
 		return Mapping{}, 0, false
 	}
@@ -58,7 +45,7 @@ func (s *shard) lookupRun(orig, max int64) (m Mapping, n int64, ok bool) {
 	// nodes where the search went left).
 	var buf [48]*node // fits the AVL height of ~2^33 entries
 	stack := buf[:0]
-	cur := s.root
+	cur := t.root
 	for cur != nil {
 		switch {
 		case orig < cur.m.Orig:
@@ -105,9 +92,10 @@ found:
 	return m, n, true
 }
 
-// setDirty updates the dirty flag for orig, logging transitions via t.
-func (s *shard) setDirty(t *Table, orig int64, dirty bool) bool {
-	n := s.root
+// SetDirty updates the dirty flag for orig, reporting whether the entry
+// exists. Transitions are logged so dirty blocks are recoverable.
+func (t *Table) SetDirty(orig int64, dirty bool) bool {
+	n := t.root
 	for n != nil {
 		switch {
 		case orig < n.m.Orig:
@@ -118,10 +106,10 @@ func (s *shard) setDirty(t *Table, orig int64, dirty bool) bool {
 			if n.m.Dirty != dirty {
 				n.m.Dirty = dirty
 				if dirty {
-					t.dirtyAdd(orig)
+					t.dirty.add(orig)
 					t.appendLog(logInsert, n.m)
 				} else {
-					t.dirtyDel(orig)
+					t.dirty.del(orig)
 					t.appendLog(logClean, Mapping{Orig: orig})
 				}
 			}
@@ -131,14 +119,18 @@ func (s *shard) setDirty(t *Table, orig int64, dirty bool) bool {
 	return false
 }
 
-// setDirtyRun updates the dirty flag of every existing mapping in
-// [orig, end) — the caller caps end at the shard boundary — using one
-// descent plus successor walking. It returns how many mappings were
-// found. Transitions are logged so dirty blocks stay recoverable.
-func (s *shard) setDirtyRun(t *Table, orig, end int64, dirty bool) int64 {
+// SetDirtyRun updates the dirty flag of every existing mapping in
+// [orig, orig+n) — equivalent to a loop of SetDirty — using one descent
+// plus successor walking. It returns how many mappings were found.
+// Transitions are logged so dirty blocks stay recoverable.
+func (t *Table) SetDirtyRun(orig, n int64, dirty bool) int64 {
+	if n <= 0 {
+		return 0
+	}
+	end := orig + n
 	var buf [48]*node
 	stack := buf[:0]
-	cur := s.root
+	cur := t.root
 	for cur != nil {
 		switch {
 		case orig < cur.m.Orig:
@@ -162,10 +154,10 @@ func (s *shard) setDirtyRun(t *Table, orig, end int64, dirty bool) int64 {
 		if cur.m.Dirty != dirty {
 			cur.m.Dirty = dirty
 			if dirty {
-				t.dirtyAdd(cur.m.Orig)
+				t.dirty.add(cur.m.Orig)
 				t.appendLog(logInsert, cur.m)
 			} else {
-				t.dirtyDel(cur.m.Orig)
+				t.dirty.del(cur.m.Orig)
 				t.appendLog(logClean, Mapping{Orig: cur.m.Orig})
 			}
 		}
@@ -176,10 +168,15 @@ func (s *shard) setDirtyRun(t *Table, orig, end int64, dirty bool) int64 {
 	return found
 }
 
-// removeRun deletes every mapping in [orig, end), returning how many
-// existed. Existing keys are discovered by successor walking so sparse
-// ranges don't pay a descent per absent address.
-func (s *shard) removeRun(t *Table, orig, end int64) int64 {
+// RemoveRun deletes every mapping in [orig, orig+n), returning how many
+// existed — equivalent to a loop of Remove over the range, but existing
+// keys are discovered by successor walking so sparse ranges don't pay a
+// descent per absent address.
+func (t *Table) RemoveRun(orig, n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	end := orig + n
 	var removed int64
 	for orig < end {
 		// Collect the next batch of present keys (removal rebalances
@@ -188,7 +185,7 @@ func (s *shard) removeRun(t *Table, orig, end int64) int64 {
 		got := 0
 		var buf [48]*node
 		stack := buf[:0]
-		cur := s.root
+		cur := t.root
 		for cur != nil {
 			switch {
 			case orig < cur.m.Orig:
@@ -218,12 +215,11 @@ func (s *shard) removeRun(t *Table, orig, end int64) int64 {
 		}
 		for _, k := range keys[:got] {
 			var ok bool
-			s.root, ok = s.remove(s.root, k)
+			t.root, ok = t.remove(t.root, k)
 			if ok {
-				s.ver++
-				s.size--
+				t.size--
 				removed++
-				t.dirtyDel(k)
+				t.dirty.del(k)
 				t.appendLog(logRemove, Mapping{Orig: k})
 			}
 		}
@@ -232,9 +228,9 @@ func (s *shard) removeRun(t *Table, orig, end int64) int64 {
 	return removed
 }
 
-// walk visits the shard's mappings in ascending Orig order. Returning
-// false from fn stops (and propagates) the early exit.
-func (s *shard) walk(fn func(Mapping) bool) bool {
+// Walk visits all mappings in ascending Orig order. Returning false
+// from fn stops the walk.
+func (t *Table) Walk(fn func(Mapping) bool) {
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
 		if n == nil {
@@ -242,7 +238,7 @@ func (s *shard) walk(fn func(Mapping) bool) bool {
 		}
 		return walk(n.left) && fn(n.m) && walk(n.right)
 	}
-	return walk(s.root)
+	walk(t.root)
 }
 
 // --- AVL machinery ---
@@ -297,60 +293,60 @@ func max8(a, b int8) int8 {
 	return b
 }
 
-// newNode takes a node from the shard's freelist, or allocates.
-func (s *shard) newNode(m Mapping) *node {
-	if f := s.free; f != nil {
-		s.free = f.right
+// newNode takes a node from the freelist, or allocates.
+func (t *Table) newNode(m Mapping) *node {
+	if f := t.free; f != nil {
+		t.free = f.right
 		f.m, f.left, f.right, f.height = m, nil, nil, 1
 		return f
 	}
 	return &node{m: m, height: 1}
 }
 
-// freeNode returns a detached node to the shard's freelist.
-func (s *shard) freeNode(n *node) {
-	n.left, n.right = nil, s.free
-	s.free = n
+// freeNode returns a detached node to the freelist.
+func (t *Table) freeNode(n *node) {
+	n.left, n.right = nil, t.free
+	t.free = n
 }
 
-func (s *shard) insert(n *node, m Mapping) *node {
+func (t *Table) insert(n *node, m Mapping) *node {
 	if n == nil {
-		s.size++
-		return s.newNode(m)
+		t.size++
+		return t.newNode(m)
 	}
 	switch {
 	case m.Orig < n.m.Orig:
-		n.left = s.insert(n.left, m)
+		n.left = t.insert(n.left, m)
 	case m.Orig > n.m.Orig:
-		n.right = s.insert(n.right, m)
+		n.right = t.insert(n.right, m)
 	default:
-		s.replaced, s.existed = n.m, true
+		t.replaced, t.existed = n.m, true
 		n.m = m // replace in place
 		return n
 	}
 	return fix(n)
 }
 
-func (s *shard) remove(n *node, orig int64) (*node, bool) {
+func (t *Table) remove(n *node, orig int64) (*node, bool) {
 	if n == nil {
 		return nil, false
 	}
 	var removed bool
 	switch {
 	case orig < n.m.Orig:
-		n.left, removed = s.remove(n.left, orig)
+		n.left, removed = t.remove(n.left, orig)
 	case orig > n.m.Orig:
-		n.right, removed = s.remove(n.right, orig)
+		n.right, removed = t.remove(n.right, orig)
 	default:
 		removed = true
 		if n.left == nil {
 			r := n.right
-			s.freeNode(n)
+			t.freeNode(n)
 			return r, true
 		}
 		if n.right == nil {
 			l := n.left
-			s.freeNode(n)
+			t.freeNode(n)
 			return l, true
 		}
 		// Replace with the in-order successor.
@@ -359,7 +355,7 @@ func (s *shard) remove(n *node, orig int64) (*node, bool) {
 			succ = succ.left
 		}
 		n.m = succ.m
-		n.right, _ = s.remove(n.right, succ.m.Orig)
+		n.right, _ = t.remove(n.right, succ.m.Orig)
 	}
 	return fix(n), removed
 }

@@ -9,7 +9,7 @@ import (
 // disk-model traffic: delays from ~30 µs (SSD page) to ~8 ms (HDD
 // full seek), plus a same-tick completion hop, at a steady pending
 // population of `width` events.
-func benchEngine(b *testing.B, kind SchedulerKind, width int) {
+func benchEngine(b *testing.B, width int) {
 	delays := make([]Time, 1024)
 	rng := rand.New(rand.NewSource(42))
 	for i := range delays {
@@ -22,7 +22,7 @@ func benchEngine(b *testing.B, kind SchedulerKind, width int) {
 			delays[i] = Time(rng.Int63n(int64(8*Millisecond))) + 1*Millisecond
 		}
 	}
-	eng := NewEngineScheduler(kind)
+	eng := NewEngine()
 	remaining := b.N
 	var fn func(Time)
 	di := 0
@@ -43,10 +43,8 @@ func benchEngine(b *testing.B, kind SchedulerKind, width int) {
 	eng.Run()
 }
 
-func BenchmarkEngineWheel(b *testing.B)     { benchEngine(b, SchedulerWheel, 64) }
-func BenchmarkEngineHeap(b *testing.B)      { benchEngine(b, SchedulerHeap, 64) }
-func BenchmarkEngineWheelWide(b *testing.B) { benchEngine(b, SchedulerWheel, 4096) }
-func BenchmarkEngineHeapWide(b *testing.B)  { benchEngine(b, SchedulerHeap, 4096) }
+func BenchmarkEngineWheel(b *testing.B)     { benchEngine(b, 64) }
+func BenchmarkEngineWheelWide(b *testing.B) { benchEngine(b, 4096) }
 
 // BenchmarkEngineSameTickRing measures the zero-delay completion hop
 // (instant devices): all events go through the FIFO ring.

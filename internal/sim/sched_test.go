@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // firing is one observed event dispatch: the engine clock at dispatch
@@ -21,8 +23,7 @@ type scriptOp struct {
 	nest  int  // how many chained events this callback schedules
 }
 
-func runScript(kind SchedulerKind, ops []scriptOp) []firing {
-	eng := NewEngineScheduler(kind)
+func runScript(eng clock, ops []scriptOp) []firing {
 	var log []firing
 	id := 0
 	var schedule func(op scriptOp)
@@ -72,34 +73,73 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 	return ops
 }
 
+// sameFirings fails t unless the wheel and the heap reference fired the
+// same sequence — instant AND callback identity.
+func sameFirings(t *testing.T, label string, wheel, heap []firing) {
+	t.Helper()
+	if len(wheel) != len(heap) {
+		t.Fatalf("%s: wheel fired %d events, heap %d", label, len(wheel), len(heap))
+	}
+	for i := range wheel {
+		if wheel[i] != heap[i] {
+			t.Fatalf("%s: firing %d differs: wheel %+v heap %+v", label, i, wheel[i], heap[i])
+		}
+	}
+}
+
 // TestSchedulerTortureWheelVsHeap replays randomized schedule-order
-// scripts against both queue implementations and requires the full
-// firing sequence — instant AND callback identity — to be identical.
+// scripts against the engine and the heap reference and requires the
+// full firing sequence to be identical.
 func TestSchedulerTortureWheelVsHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := randomScript(rng, 400)
-		wheel := runScript(SchedulerWheel, ops)
-		heap := runScript(SchedulerHeap, ops)
-		if len(wheel) != len(heap) {
-			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheel), len(heap))
+		wheel := runScript(NewEngine(), ops)
+		heap := runScript(&heapEngine{}, ops)
+		sameFirings(t, fmt.Sprintf("seed %d", seed), wheel, heap)
+	}
+}
+
+// TestSchedulerOverflowPromotionWindow is the regression test for an
+// overflow promotion that never terminated. Promotion used to take
+// every overflow event within 2^24 ticks of the clock, but level 2
+// only accepts ticks whose 2^16-tick slot number is within 256 of the
+// clock's: with the clock late in its level-2 slot, an event just
+// inside the tick horizon but past the slot window went straight back
+// to the overflow heap and was popped again forever. Both events here
+// start in the overflow heap; the first one's promotion moves the
+// clock to the end of a level-2 slot, leaving the second in that gap.
+func TestSchedulerOverflowPromotionWindow(t *testing.T) {
+	const slot2 = int64(1) << (2 * wheelSlotBits) // ticks per level-2 slot
+	first := 512*slot2 + slot2 - 1                // last tick of its level-2 slot
+	second := first + wheelSlots*slot2 - 1        // 2^24-1 ticks later: one slot past the window
+	ats := []Time{Time(first << wheelTickShift), Time(second << wheelTickShift)}
+	script := func(eng clock) []firing {
+		var log []firing
+		for i, at := range ats {
+			id := i
+			eng.Schedule(at, func() { log = append(log, firing{eng.Now(), id}) })
 		}
-		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("seed %d: firing %d differs: wheel %+v heap %+v", seed, i, wheel[i], heap[i])
-			}
-		}
+		eng.Run()
+		return log
+	}
+	done := make(chan []firing, 1)
+	go func() { done <- script(NewEngine()) }()
+	select {
+	case wheel := <-done:
+		sameFirings(t, "overflow window", wheel, script(&heapEngine{}))
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine did not drain two overflow events within 10s")
 	}
 }
 
 // TestSchedulerFIFOSameInstant pins the global FIFO contract directly:
 // events scheduled for one future instant, interleaved with events at
 // other instants and in shuffled submission order, fire in exactly
-// submission order on both schedulers.
+// submission order on the engine and the heap reference.
 func TestSchedulerFIFOSameInstant(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
+	for _, eng := range []clock{NewEngine(), &heapEngine{}} {
 		rng := rand.New(rand.NewSource(7))
-		eng := NewEngineScheduler(kind)
 		const target = 3 * Millisecond
 		var got []int
 		want := make([]int, 0, 500)
@@ -115,11 +155,11 @@ func TestSchedulerFIFOSameInstant(t *testing.T) {
 		}
 		eng.Run()
 		if len(got) != len(want) {
-			t.Fatalf("%v: fired %d of %d same-instant events", kind, len(got), len(want))
+			t.Fatalf("%T: fired %d of %d same-instant events", eng, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%v: same-instant event %d fired out of order (got id %d)", kind, i, got[i])
+				t.Fatalf("%T: same-instant event %d fired out of order (got id %d)", eng, i, got[i])
 			}
 		}
 	}
@@ -130,13 +170,12 @@ func TestSchedulerFIFOSameInstant(t *testing.T) {
 // it; events scheduled afterwards for earlier instants must still fire
 // first.
 func TestSchedulerRunUntilLateInsert(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
-		eng := NewEngineScheduler(kind)
+	for _, eng := range []clock{NewEngine(), &heapEngine{}} {
 		var log []firing
 		eng.Schedule(5*Millisecond, func() { log = append(log, firing{eng.Now(), 1}) })
 		eng.RunUntil(1 * Millisecond) // peeks at the 5ms event, fires nothing
 		if len(log) != 0 {
-			t.Fatalf("%v: RunUntil fired past its deadline", kind)
+			t.Fatalf("%T: RunUntil fired past its deadline", eng)
 		}
 		// Earlier than the already-peeked event, later than now.
 		eng.Schedule(2*Millisecond, func() { log = append(log, firing{eng.Now(), 2}) })
@@ -144,11 +183,11 @@ func TestSchedulerRunUntilLateInsert(t *testing.T) {
 		eng.Run()
 		want := []firing{{2 * Millisecond, 2}, {5*Millisecond - 1, 3}, {5 * Millisecond, 1}}
 		if len(log) != len(want) {
-			t.Fatalf("%v: fired %d events, want %d", kind, len(log), len(want))
+			t.Fatalf("%T: fired %d events, want %d", eng, len(log), len(want))
 		}
 		for i := range want {
 			if log[i] != want[i] {
-				t.Fatalf("%v: firing %d = %+v, want %+v", kind, i, log[i], want[i])
+				t.Fatalf("%T: firing %d = %+v, want %+v", eng, i, log[i], want[i])
 			}
 		}
 	}
@@ -158,7 +197,7 @@ func TestSchedulerRunUntilLateInsert(t *testing.T) {
 // horizon and checks they fire at the right instants in the right
 // order, with the overflow counters recording the trip.
 func TestSchedulerOverflowPromotion(t *testing.T) {
-	eng := NewEngineScheduler(SchedulerWheel)
+	eng := NewEngine()
 	var log []Time
 	for _, at := range []Time{90 * Second, 30 * Second, 60 * Second, 30 * Second} {
 		eng.Schedule(at, func() { log = append(log, eng.Now()) })
@@ -183,30 +222,27 @@ func TestSchedulerOverflowPromotion(t *testing.T) {
 }
 
 // TestEngineScheduleAllocFree gates the steady-state event path at
-// zero allocations per event for both schedulers: after warmup the
-// wheel recycles nodes from its freelist and the heap reuses its
-// backing array.
+// zero allocations per event: after warmup the wheel recycles nodes
+// from its freelist and the ring reuses its backing array.
 func TestEngineScheduleAllocFree(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
-		eng := NewEngineScheduler(kind)
-		var fn func(Time)
-		n := 0
-		fn = func(at Time) {
-			if n++; n < 5000 {
-				eng.AfterTimed(Time(n%4096)+1, fn)
-			}
+	eng := NewEngine()
+	var fn func(Time)
+	n := 0
+	fn = func(at Time) {
+		if n++; n < 5000 {
+			eng.AfterTimed(Time(n%4096)+1, fn)
 		}
-		// Warm up: grow the ring/heap/freelist and fault in all slots.
+	}
+	// Warm up: grow the ring/freelist and fault in all slots.
+	eng.AfterTimed(1, fn)
+	eng.Run()
+	allocs := testing.AllocsPerRun(10, func() {
+		n = 0
 		eng.AfterTimed(1, fn)
 		eng.Run()
-		allocs := testing.AllocsPerRun(10, func() {
-			n = 0
-			eng.AfterTimed(1, fn)
-			eng.Run()
-		})
-		if allocs != 0 {
-			t.Fatalf("%v: %.1f allocs per 5000-event run, want 0", kind, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per 5000-event run, want 0", allocs)
 	}
 }
 
@@ -214,7 +250,7 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 // advance by at least the events a run fires.
 func TestGlobalSchedStats(t *testing.T) {
 	before := GlobalSchedStats()
-	eng := NewEngineScheduler(SchedulerWheel)
+	eng := NewEngine()
 	for i := 1; i <= 100; i++ {
 		eng.Schedule(Time(i)*Microsecond, func() {})
 	}

@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 	"time"
 )
@@ -105,65 +104,6 @@ func heapPopEvent(q *[]event) event {
 	return top
 }
 
-// SchedulerKind selects the timed-queue implementation behind an
-// Engine. Both schedulers implement the exact same contract — events
-// fire in (instant, schedule order) — so every experiment produces
-// bit-identical results under either; the wheel is simply cheaper per
-// event. The heap remains selectable as an escape hatch for one PR.
-type SchedulerKind uint8
-
-const (
-	// SchedulerWheel is the hierarchical timing wheel (the default):
-	// O(1) schedule, near-O(1) dispatch, overflow heap for far-future
-	// events. See wheel.go.
-	SchedulerWheel SchedulerKind = iota
-	// SchedulerHeap is the original binary heap over event values.
-	SchedulerHeap
-)
-
-// String names the scheduler kind ("wheel" or "heap").
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseScheduler converts a -scheduler flag value to a SchedulerKind.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return SchedulerWheel, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
-}
-
-// defaultScheduler holds the process-wide SchedulerKind used by
-// NewEngine. Atomic because experiment workers construct engines on
-// concurrent goroutines.
-var defaultScheduler atomic.Uint32
-
-// SetDefaultScheduler selects the queue implementation NewEngine uses.
-// It is process-wide (like runtime GOMAXPROCS) rather than a RunConfig
-// field so the canonical experiment-config encoding — and every frozen
-// config hash derived from it — is unaffected by A/B runs.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(uint32(k)) }
-
-// DefaultScheduler reports the SchedulerKind NewEngine will use.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
-
-func init() {
-	// CRAID_SIM_SCHEDULER=heap|wheel flips the whole process for A/B
-	// runs of the full test suite (CI runs one leg with heap).
-	if v := os.Getenv("CRAID_SIM_SCHEDULER"); v != "" {
-		if k, err := ParseScheduler(v); err == nil {
-			SetDefaultScheduler(k)
-		}
-	}
-}
-
 // SchedStats counts scheduler activity. Engine counters are cumulative
 // per engine; GlobalSchedStats aggregates across all engines in the
 // process (flushed at the end of each Run/RunUntil), which is what the
@@ -206,10 +146,9 @@ func GlobalSchedStats() SchedStats {
 // Engine is a discrete-event simulation loop. The zero value is not
 // usable; create one with NewEngine.
 //
-// The timed queue is either a hierarchical timing wheel (the default;
-// see wheel.go) or the original hand-rolled binary heap over event
-// values — both allocation-free in steady state, both firing events in
-// exactly (instant, schedule order).
+// The timed queue is a hierarchical timing wheel (see wheel.go),
+// allocation-free in steady state and firing events in exactly
+// (instant, schedule order).
 //
 // Events scheduled for the *current* instant bypass the timed queue
 // into a FIFO ring: zero-delay completions (instant devices, same-tick
@@ -222,34 +161,21 @@ func GlobalSchedStats() SchedStats {
 type Engine struct {
 	now      Time
 	seq      uint64
-	queue    []event // binary heap (SchedulerHeap only)
-	wheel    *wheelQ // timing wheel (SchedulerWheel only)
+	wheel    wheelQ  // timed queue
 	ring     []event // FIFO of events due at the current instant
 	ringHead int
 	stopped  bool
-	kind     SchedulerKind
 	stats    SchedStats // cumulative for this engine
 	flushed  SchedStats // portion already added to the global counters
 }
 
 // NewEngine returns an engine with the clock at zero and no pending
-// events, using the process default scheduler (see SetDefaultScheduler).
+// events.
 func NewEngine() *Engine {
-	return NewEngineScheduler(DefaultScheduler())
-}
-
-// NewEngineScheduler returns an engine backed by the given queue
-// implementation regardless of the process default.
-func NewEngineScheduler(k SchedulerKind) *Engine {
-	e := &Engine{kind: k}
-	if k == SchedulerWheel {
-		e.wheel = newWheelQ(&e.stats)
-	}
+	e := &Engine{}
+	e.wheel.stats = &e.stats
 	return e
 }
-
-// Scheduler reports which queue implementation backs this engine.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
 
 // SchedStats returns this engine's cumulative scheduler counters.
 func (e *Engine) SchedStats() SchedStats { return e.stats }
@@ -271,47 +197,11 @@ func (e *Engine) flushStats() {
 	e.flushed = d
 }
 
-// qPush adds a future event to the timed queue.
-func (e *Engine) qPush(ev event) {
-	if e.wheel != nil {
-		e.wheel.push(ev)
-		return
-	}
-	heapPushEvent(&e.queue, ev)
-}
-
-// qLen reports the number of events in the timed queue.
-func (e *Engine) qLen() int {
-	if e.wheel != nil {
-		return e.wheel.n
-	}
-	return len(e.queue)
-}
-
-// qMin reports the earliest timed-queue instant, if any.
-func (e *Engine) qMin() (Time, bool) {
-	if e.wheel != nil {
-		return e.wheel.min()
-	}
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
-
-// qPop removes and returns the earliest timed-queue event.
-func (e *Engine) qPop() event {
-	if e.wheel != nil {
-		return e.wheel.pop()
-	}
-	return heapPopEvent(&e.queue)
-}
-
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.qLen() + len(e.ring) - e.ringHead }
+func (e *Engine) Pending() int { return e.wheel.n + len(e.ring) - e.ringHead }
 
 // Schedule registers fn to run at the absolute simulated instant at.
 // Scheduling in the past (at < Now) panics: it always indicates a
@@ -325,7 +215,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 		e.ring = append(e.ring, event{at: at, seq: e.seq, fn: fn})
 		return
 	}
-	e.qPush(event{at: at, seq: e.seq, fn: fn})
+	e.wheel.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // ScheduleTimed registers fn to run at the absolute instant at,
@@ -340,7 +230,7 @@ func (e *Engine) ScheduleTimed(at Time, fn func(Time)) {
 		e.ring = append(e.ring, event{at: at, seq: e.seq, tfn: fn})
 		return
 	}
-	e.qPush(event{at: at, seq: e.seq, tfn: fn})
+	e.wheel.push(event{at: at, seq: e.seq, tfn: fn})
 }
 
 // After registers fn to run delay nanoseconds after the current instant.
@@ -368,11 +258,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // returns false if no events remain.
 func (e *Engine) Step() bool {
 	var ev event
-	t, ok := e.qMin()
+	t, ok := e.wheel.min()
 	switch {
 	case ok && t == e.now:
 		// Timed-queue events due now predate everything in the ring.
-		ev = e.qPop()
+		ev = e.wheel.pop()
 	case e.ringHead < len(e.ring):
 		ev = e.ring[e.ringHead]
 		e.ring[e.ringHead] = event{} // release callback references
@@ -382,7 +272,7 @@ func (e *Engine) Step() bool {
 		}
 		e.stats.Ring++
 	case ok:
-		ev = e.qPop() // the ring is empty: safe to advance the clock
+		ev = e.wheel.pop() // the ring is empty: safe to advance the clock
 	default:
 		return false
 	}
@@ -414,7 +304,7 @@ func (e *Engine) RunUntil(deadline Time) {
 			e.Step()
 			continue
 		}
-		if t, ok := e.qMin(); ok && t <= deadline {
+		if t, ok := e.wheel.min(); ok && t <= deadline {
 			e.Step()
 			continue
 		}

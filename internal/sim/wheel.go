@@ -12,14 +12,14 @@ import (
 // give a horizon of 2^(10+3·8) ns ≈ 17.2 simulated seconds — wider
 // than any device latency or rebuild pacing interval — and events
 // beyond it (fault-plan triggers hours out, RunUntil sentinels) go to
-// a small overflow min-heap and are promoted when the clock nears.
+// a small overflow min-heap and are promoted once level 2's window
+// reaches them.
 const (
-	wheelTickShift    = 10 // 1 tick = 1024 ns
-	wheelSlotBits     = 8
-	wheelSlots        = 1 << wheelSlotBits
-	wheelSlotMask     = wheelSlots - 1
-	wheelLevels       = 3
-	wheelHorizonTicks = int64(1) << (wheelSlotBits * wheelLevels)
+	wheelTickShift = 10 // 1 tick = 1024 ns
+	wheelSlotBits  = 8
+	wheelSlots     = 1 << wheelSlotBits
+	wheelSlotMask  = wheelSlots - 1
+	wheelLevels    = 3
 )
 
 // wnode is an intrusive, freelist-recycled slot-list node. Slot lists
@@ -30,8 +30,8 @@ type wnode struct {
 	next *wnode
 }
 
-// wheelQ is the timing-wheel timed queue. The ordering contract is
-// identical to the binary heap's — events leave in (at, seq) order —
+// wheelQ is the timing-wheel timed queue. Events leave in (at, seq)
+// order, exactly as from a binary heap over (at, seq) —
 // and is enforced in one place: every level-0 slot is drained into buf
 // and sorted before any of its events is observed. Cascades and
 // promotions move events between levels without comparing them at all.
@@ -52,10 +52,6 @@ type wheelQ struct {
 	bufHead  int
 	free     *wnode
 	stats    *SchedStats
-}
-
-func newWheelQ(stats *SchedStats) *wheelQ {
-	return &wheelQ{stats: stats}
 }
 
 // push inserts a future event (the engine guarantees ev.at > now).
@@ -192,10 +188,12 @@ func (w *wheelQ) ensureBuf() bool {
 			if to > w.curTick {
 				w.curTick = to
 			}
-			horizon := w.curTick + wheelHorizonTicks
+			// Promote exactly what place accepts into the wheel: an
+			// event beyond level 2's window would go straight back to
+			// the overflow heap and be popped again forever.
 			for len(w.overflow) > 0 {
 				tt := int64(w.overflow[0].at) >> wheelTickShift
-				if tt >= horizon {
+				if (tt>>(2*wheelSlotBits))-(w.curTick>>(2*wheelSlotBits)) >= wheelSlots {
 					break
 				}
 				ev := heapPopEvent(&w.overflow)
