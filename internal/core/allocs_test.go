@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"craid/internal/disk"
@@ -10,8 +11,13 @@ import (
 )
 
 // warmCRAID builds a CRAID on instant devices and warms a working set
-// that fits entirely in P_C, so subsequent Submits are pure hits.
-func warmCRAID(t *testing.T, policy string) (*sim.Engine, *CRAID) {
+// that fits entirely in P_C, so subsequent Submits are pure hits. The
+// working set is cut into shards equal address-range slices that are
+// warmed round-robin, one 256-block extent from each slice in turn: one
+// shard inserts the extents in address order, more shards insert them
+// interleaved, which leaves the mapping tree and the policy's recency
+// order shaped differently.
+func warmCRAID(t *testing.T, policy string, shards int) (*sim.Engine, *CRAID) {
 	t.Helper()
 	eng := sim.NewEngine()
 	arr := nullArray(eng, 10, 1<<30)
@@ -26,11 +32,15 @@ func warmCRAID(t *testing.T, policy string) (*sim.Engine, *CRAID) {
 		ParityGroup:  10,
 		StripeUnit:   32,
 	}, true, disks, 0, paLayout, disks, 8192)
-	for b := int64(0); b < 1<<16; b += 256 {
-		c.Submit(trace.Record{Op: disk.OpWrite, Block: b, Count: 256}, nil)
-		eng.Run()
-		c.Submit(trace.Record{Op: disk.OpRead, Block: b, Count: 256}, nil)
-		eng.Run()
+	slice := int64(1<<16) / int64(shards)
+	for off := int64(0); off < slice; off += 256 {
+		for s := int64(0); s < int64(shards); s++ {
+			b := s*slice + off
+			c.Submit(trace.Record{Op: disk.OpWrite, Block: b, Count: 256}, nil)
+			eng.Run()
+			c.Submit(trace.Record{Op: disk.OpRead, Block: b, Count: 256}, nil)
+			eng.Run()
+		}
 	}
 	return eng, c
 }
@@ -71,31 +81,35 @@ func TestReplayAllocsPerRecordZero(t *testing.T) {
 // TestSubmitWarmAllocFree is the monitor's steady-state allocation
 // gate: on a warm cache, a whole Submit — classification, policy
 // access, dirty-flip logging hooks, redirected I/O, latency recording,
-// the event engine drain — performs zero allocations, for every policy.
-// This is what keeps GC entirely out of the hot loop at millions of
-// simulated requests per second.
+// the event engine drain — performs zero allocations, for every policy
+// and for a working set warmed in address order (shards=1) and
+// interleaved across eight address-range slices (shards=8; see
+// warmCRAID). This is what keeps GC entirely out of the hot loop at
+// millions of simulated requests per second.
 func TestSubmitWarmAllocFree(t *testing.T) {
 	for _, policy := range []string{"LRU", "WLRU", "LFUDA", "GDSF", "ARC"} {
-		t.Run(policy, func(t *testing.T) {
-			eng, c := warmCRAID(t, policy)
-			b := int64(0)
-			read := trace.Record{Op: disk.OpRead, Count: 256}
-			write := trace.Record{Op: disk.OpWrite, Count: 256}
-			if allocs := testing.AllocsPerRun(300, func() {
-				read.Block = b
-				c.Submit(read, nil)
-				eng.Run()
-				write.Block = b
-				c.Submit(write, nil)
-				eng.Run()
-				b = (b + 256) % (1 << 16)
-			}); allocs > 0 {
-				t.Fatalf("warm Submit allocated %.1f per round (policy %s), want 0",
-					allocs, policy)
-			}
-			if hits := c.Stats().ReadHits; hits == 0 {
-				t.Fatal("warm workload produced no read hits; gate is not testing the hit path")
-			}
-		})
+		for _, shards := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
+				eng, c := warmCRAID(t, policy, shards)
+				b := int64(0)
+				read := trace.Record{Op: disk.OpRead, Count: 256}
+				write := trace.Record{Op: disk.OpWrite, Count: 256}
+				if allocs := testing.AllocsPerRun(300, func() {
+					read.Block = b
+					c.Submit(read, nil)
+					eng.Run()
+					write.Block = b
+					c.Submit(write, nil)
+					eng.Run()
+					b = (b + 256) % (1 << 16)
+				}); allocs > 0 {
+					t.Fatalf("warm Submit allocated %.1f per round (policy %s, %d shards), want 0",
+						allocs, policy, shards)
+				}
+				if hits := c.Stats().ReadHits; hits == 0 {
+					t.Fatal("warm workload produced no read hits; gate is not testing the hit path")
+				}
+			})
+		}
 	}
 }
