@@ -59,6 +59,13 @@ type Policy interface {
 // DirtyFunc reports whether a key's cached copy is dirty. WLRU consults
 // it to prefer clean victims (a dirty eviction costs CRAID four extra
 // parity I/Os).
+//
+// Contract: while a key is resident in the policy its answer may only
+// go from clean to dirty; a key turns clean only by leaving the policy
+// (eviction, Remove or Clear). WLRU relies on this to remember which
+// LRU-end entries it already found dirty instead of re-probing them on
+// every eviction. Write-back caches satisfy it naturally: a dirty block
+// is cleaned by writing it back, which is what evicting it does.
 type DirtyFunc func(Key) bool
 
 // Config carries optional policy parameters.

@@ -40,6 +40,16 @@ type Array struct {
 	queueHist *metrics.LatencyHist // sample unit: queue depth, abusing ns=depth
 	concHist  *metrics.LatencyHist // concurrent busy devices per submit
 
+	// queuers[i] is device i's queue-state view, nil if it has none;
+	// resolved once at attach so issue does no type assertion. The
+	// busy devices sampled per submit are busyTracked, which devices
+	// implementing busyTracker keep current themselves, plus a poll of
+	// polled, the queuers whose busy state is time-based (SSD
+	// channels) and so cannot report its changes.
+	queuers     []queuer
+	polled      []queuer
+	busyTracked int
+
 	// retains[i] reports whether device i keeps the *Request beyond
 	// Submit; devices that don't (instant models) are fed the shared
 	// scratch request, so hot instant-mode runs allocate no requests.
@@ -76,6 +86,11 @@ type queuer interface {
 	Busy() bool
 }
 
+// busyTracker is implemented by queuers whose busy state changes only
+// at their own events (HDD): they keep an array-owned count of busy
+// devices current.
+type busyTracker interface{ TrackBusy(count *int) }
+
 // NewArray returns an array over devices.
 func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 	a := &Array{
@@ -83,11 +98,39 @@ func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 		devices:   devices,
 		queueHist: metrics.NewLatencyHist(),
 		concHist:  metrics.NewLatencyHist(),
+		retains:   make([]bool, 0, len(devices)),
+		queuers:   make([]queuer, 0, len(devices)),
 	}
 	for _, d := range devices {
-		a.retains = append(a.retains, retainsRequests(d))
+		a.attach(d)
 	}
 	return a
+}
+
+// attach resolves a newly installed device's optional interfaces.
+func (a *Array) attach(d disk.Device) {
+	a.retains = append(a.retains, retainsRequests(d))
+	q, _ := d.(queuer)
+	a.queuers = append(a.queuers, q)
+	if q == nil {
+		return
+	}
+	if t, ok := d.(busyTracker); ok {
+		t.TrackBusy(&a.busyTracked)
+	} else {
+		a.polled = append(a.polled, q)
+	}
+}
+
+// busyDevices counts the devices busy right now.
+func (a *Array) busyDevices() int {
+	busy := a.busyTracked
+	for _, q := range a.polled {
+		if q.Busy() {
+			busy++
+		}
+	}
+	return busy
 }
 
 // Devices returns the device count.
@@ -101,7 +144,7 @@ func (a *Array) Device(i int) disk.Device { return a.devices[i] }
 func (a *Array) AddDevices(devs []disk.Device) {
 	a.devices = append(a.devices, devs...)
 	for _, d := range devs {
-		a.retains = append(a.retains, retainsRequests(d))
+		a.attach(d)
 	}
 	if a.Load != nil {
 		a.Load.Resize(len(a.devices))
@@ -154,15 +197,9 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, do
 	if a.Seq != nil && trackSeq {
 		a.Seq.Add(now, dev, block, count)
 	}
-	if q, ok := a.devices[dev].(queuer); ok {
+	if q := a.queuers[dev]; q != nil {
 		a.queueHist.Add(sim.Time(q.QueueDepth()))
-		busy := 0
-		for _, d := range a.devices {
-			if qd, ok := d.(queuer); ok && qd.Busy() {
-				busy++
-			}
-		}
-		a.concHist.Add(sim.Time(busy))
+		a.concHist.Add(sim.Time(a.busyDevices()))
 	}
 	if a.retains[dev] {
 		a.devices[dev].Submit(&disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail})

@@ -133,6 +133,11 @@ type HDD struct {
 	// overlap freely (the write cache admits back to back), so they pool.
 	absorbFree *absorbOp
 
+	// busyCount, set by TrackBusy, is a count of busy devices owned by
+	// the array this disk belongs to; the disk keeps it current at each
+	// change of Busy().
+	busyCount *int
+
 	faultState
 }
 
@@ -315,6 +320,32 @@ func (d *HDD) QueueDepth() int {
 // destaging its write cache.
 func (d *HDD) Busy() bool { return d.busy || d.destaging }
 
+// TrackBusy makes count a tally of busy devices this disk contributes
+// to: it adds itself now if busy and keeps the tally current whenever
+// Busy() changes, so an array can sample how many of its disks are busy
+// without polling them. A disk reports to one tally at a time.
+func (d *HDD) TrackBusy(count *int) {
+	d.busyCount = count
+	if d.Busy() {
+		*count++
+	}
+}
+
+// setBusy and setDestaging are the only writers of the two flags Busy()
+// reads, so the tracked tally follows every change.
+func (d *HDD) setBusy(on bool)      { was := d.Busy(); d.busy = on; d.noteBusy(was) }
+func (d *HDD) setDestaging(on bool) { was := d.Busy(); d.destaging = on; d.noteBusy(was) }
+
+func (d *HDD) noteBusy(was bool) {
+	if c := d.busyCount; c != nil && was != d.Busy() {
+		if was {
+			*c--
+		} else {
+			*c++
+		}
+	}
+}
+
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
 	checkRange(d, r)
@@ -450,7 +481,7 @@ func (d *HDD) pickNext() *Request {
 // startNext begins servicing one queued request.
 func (d *HDD) startNext() {
 	r := d.pickNext()
-	d.busy = true
+	d.setBusy(true)
 
 	if r.fail {
 		// Injected media error: the head still travels (seek, rotation,
@@ -512,7 +543,7 @@ func (d *HDD) finish(r *Request, service sim.Time) {
 func (d *HDD) finished() {
 	done, fail, op, count := d.finDone, d.finFail, d.finOp, d.finCount
 	d.finDone = nil
-	d.busy = false
+	d.setBusy(false)
 	if fail {
 		d.stats.Errors++
 	} else if op == OpRead {
@@ -581,7 +612,7 @@ func (d *HDD) startDestage() {
 	}
 	r := d.dirtyRanges[best]
 	d.dirtyRanges = append(d.dirtyRanges[:best], d.dirtyRanges[best+1:]...)
-	d.destaging = true
+	d.setDestaging(true)
 	service := d.mediaTime(r.start, r.end-r.start, true)
 	d.stats.BusyTime += service
 	d.destageN = r.end - r.start
@@ -591,7 +622,7 @@ func (d *HDD) startDestage() {
 // destaged is the destage completion event (single-flight under the
 // destaging flag, fired through the cached destageFn).
 func (d *HDD) destaged() {
-	d.destaging = false
+	d.setDestaging(false)
 	d.dirty -= d.destageN
 	if d.dirty < 0 {
 		d.dirty = 0

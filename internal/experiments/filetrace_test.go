@@ -80,6 +80,13 @@ func TestRunFileTraceDerivesScale(t *testing.T) {
 	if res.Requests != 2 {
 		t.Fatalf("replayed %d requests, want 2", res.Requests)
 	}
+	// The derived scale stays internal: the result reports the config as
+	// asked, so it hashes to the cell that was submitted (the fabric
+	// rejects a result that does not).
+	want, _ := ConfigHash(cfg)
+	if got, err := ConfigHash(res.Cfg); err != nil || got != want {
+		t.Fatalf("result config hashes to %s (%v), want the submitted cell %s", got, err, want)
+	}
 }
 
 func TestRunFileTraceRejectsBursty(t *testing.T) {

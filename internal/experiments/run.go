@@ -249,8 +249,11 @@ type RunResult struct {
 	ConcMax   int64
 }
 
-// Run executes one simulation to completion.
+// Run executes one simulation to completion. The result carries cfg as
+// given, so ConfigHash(res.Cfg) is the content address of the cell that
+// produced it.
 func Run(cfg RunConfig) (RunResult, error) {
+	asked := cfg
 	if cfg.TraceFile != "" && cfg.Scale == 0 && cfg.DatasetBlocks > 0 {
 		// File traces can derive their geometry from the dataset size.
 		cfg.Scale = ScaleForBlocks(cfg.DatasetBlocks)
@@ -440,7 +443,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	}
 
 	res := RunResult{
-		Cfg:       cfg,
+		Cfg:       asked,
 		Requests:  n,
 		Replay:    rst,
 		MapLog:    logStats,

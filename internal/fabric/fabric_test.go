@@ -290,6 +290,17 @@ func TestSchedulerCoalescesIdenticalConfigs(t *testing.T) {
 
 // --- Server + workers end to end (in-process and over HTTP) ---
 
+// simOutput returns r without its replay ring back-pressure counters
+// (ReaderStalls, ReplayStalls, RingHighWater). Those are wall-clock
+// telemetry, not simulation output: they depend on how the reader and
+// replay goroutines happen to be scheduled, so two runs of one cell
+// can differ in them under host load while every simulated result
+// (Records and Batches included) is identical.
+func simOutput(r experiments.RunResult) experiments.RunResult {
+	r.Replay.ReaderStalls, r.Replay.ReplayStalls, r.Replay.RingHighWater = 0, 0, 0
+	return r
+}
+
 // countingRunner wraps experiments.Run and counts real executions.
 func countingRunner() (*atomic.Int64, func(experiments.RunConfig) (experiments.RunResult, error)) {
 	var n atomic.Int64
@@ -331,14 +342,7 @@ func TestFabricEndToEndMatchesLocalAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		// Ring back-pressure is wall-clock telemetry, not simulation
-		// output (see TestRunAllDeterministicAcrossParallelism): under
-		// host load the fabric and local runs can fill the replay ring
-		// differently without any result diverging.
-		got[i].Replay.ReaderStalls, want[i].Replay.ReaderStalls = 0, 0
-		got[i].Replay.ReplayStalls, want[i].Replay.ReplayStalls = 0, 0
-		got[i].Replay.RingHighWater, want[i].Replay.RingHighWater = 0, 0
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !reflect.DeepEqual(simOutput(got[i]), simOutput(want[i])) {
 			t.Errorf("cell %d differs across the fabric:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
@@ -357,12 +361,9 @@ func TestFabricEndToEndMatchesLocalAndCaches(t *testing.T) {
 		t.Fatalf("warm run recomputed cells: total %d, want still 3", n)
 	}
 	for i := range got2 {
-		got2[i].Replay.ReaderStalls = 0
-		got2[i].Replay.ReplayStalls = 0
-		got2[i].Replay.RingHighWater = 0
-	}
-	if !reflect.DeepEqual(got2, got) {
-		t.Fatal("warm-cache results differ from cold results")
+		if !reflect.DeepEqual(simOutput(got2[i]), simOutput(got[i])) {
+			t.Fatalf("cell %d: warm-cache result differs from the cold one", i)
+		}
 	}
 	st, err := client.Stats()
 	if err != nil {
@@ -402,7 +403,7 @@ func TestRemoteWorkerOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, want) {
+	if !reflect.DeepEqual(simOutput(res), simOutput(want)) {
 		t.Fatalf("remote-worker result differs:\n got %+v\nwant %+v", res, want)
 	}
 	if computed.Load() != 1 {
@@ -484,7 +485,7 @@ func TestFabricRequeueRecoversFromDeadWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res, want) {
+		if !reflect.DeepEqual(simOutput(res), simOutput(want)) {
 			t.Fatal("requeued result differs from direct run")
 		}
 	case <-time.After(30 * time.Second):
@@ -615,10 +616,7 @@ func TestFabricClientRetriesTransientFailures(t *testing.T) {
 				t.Fatalf("submit did not survive transient failures: %v", err)
 			}
 			for i := range want {
-				got[i].Replay.ReaderStalls, want[i].Replay.ReaderStalls = 0, 0
-				got[i].Replay.ReplayStalls, want[i].Replay.ReplayStalls = 0, 0
-				got[i].Replay.RingHighWater, want[i].Replay.RingHighWater = 0, 0
-				if !reflect.DeepEqual(got[i], want[i]) {
+				if !reflect.DeepEqual(simOutput(got[i]), simOutput(want[i])) {
 					t.Errorf("cell %d differs after retried submit:\n got %+v\nwant %+v", i, got[i], want[i])
 				}
 			}
@@ -735,4 +733,80 @@ func TestServerRejectsOversizedBodies(t *testing.T) {
 		t.Fatal("lease did not survive the rejected completion")
 	}
 	<-submitted
+}
+
+// TestServerRejectsMismatchedResult posts a successful completion whose
+// result belongs to another configuration. The server must answer
+// accepted=false, store nothing, wake no submitter and leave the lease
+// alone; once the lease expires the cell is requeued, and a correct
+// result then resolves it.
+func TestServerRejectsMismatchedResult(t *testing.T) {
+	srv, err := NewServer(Options{Store: newTestStore(t), LeaseTTL: 10 * time.Second, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	srv.sched.now = clk.now
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	cfg := cheapCell("LRU", 500)
+	results := make(chan experiments.CellResult, 1)
+	go srv.Submit([]experiments.RunConfig{cfg}, func(cr experiments.CellResult) { results <- cr })
+	var l *Lease
+	for l == nil {
+		if l, err = srv.Lease(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	poison := experiments.RunResult{Cfg: cheapCell("ARC", 900), Requests: 1}
+	body, _ := json.Marshal(completeRequest{LeaseID: l.ID, Hash: l.Hash, Result: &poison})
+	resp, err := http.Post(hs.URL+"/v1/complete", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr completeResponse
+	err = json.NewDecoder(resp.Body).Decode(&cr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || cr.Accepted {
+		t.Fatalf("mismatched completion: status %d, accepted=%v, err %v; want 200, false", resp.StatusCode, cr.Accepted, err)
+	}
+	if n, _ := srv.store.Len(); n != 0 {
+		t.Errorf("store holds %d entries after a rejected completion", n)
+	}
+	select {
+	case r := <-results:
+		t.Fatalf("submitter woken by a rejected completion: %+v", r)
+	default:
+	}
+	if st := srv.Stats().Scheduler; st.Mismatched != 1 || st.Active != 1 || st.Computed != 0 || st.Duplicates != 0 {
+		t.Errorf("after the rejection: %+v, want 1 mismatched, the lease still active, nothing computed", st)
+	}
+
+	// The lease runs out and the cell goes to the next worker.
+	clk.advance(11 * time.Second)
+	l2, _ := srv.Lease(time.Second)
+	if l2 == nil || l2.Hash != l.Hash || l2.ID == l.ID {
+		t.Fatalf("cell not requeued after the lease expired: %+v (was %+v)", l2, l)
+	}
+	want, err := experiments.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Complete(l2.ID, l2.Hash, want, "") {
+		t.Fatal("correct result for the requeued cell rejected")
+	}
+	select {
+	case got := <-results:
+		if got.Err != nil || !reflect.DeepEqual(simOutput(got.Result), simOutput(want)) {
+			t.Fatalf("submitter got %+v (err %v), want the correct result", got.Result, got.Err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("submitter never received the correct result")
+	}
+	if n, _ := srv.store.Len(); n != 1 {
+		t.Errorf("store holds %d entries, want the one correct result", n)
+	}
 }

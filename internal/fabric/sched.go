@@ -30,6 +30,7 @@ type Stats struct {
 	Computed   int64 // results accepted (first result per cell)
 	CellErrors int64 // cells completing with a simulation error
 	Duplicates int64 // completions dropped because the cell was already resolved
+	Mismatched int64 // results rejected because their config does not hash to the completed cell
 
 	Pending int // cells queued, not leased (gauge)
 	Active  int // leases outstanding (gauge)
@@ -102,6 +103,14 @@ func (s *scheduler) enqueue(hash string, cfg experiments.RunConfig, w waiterFn) 
 	s.pending = append(s.pending, c)
 	s.stats.Enqueued++
 	s.cond.Broadcast()
+}
+
+// noteMismatch counts a completion rejected for carrying another
+// configuration's result.
+func (s *scheduler) noteMismatch() {
+	s.mu.Lock()
+	s.stats.Mismatched++
+	s.mu.Unlock()
 }
 
 // noteCacheHit counts a submission served from the result store.

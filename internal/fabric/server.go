@@ -163,9 +163,23 @@ func (s *Server) Submit(cfgs []experiments.RunConfig, emit func(experiments.Cell
 // Complete accepts one worker's finished cell: the first result for a
 // hash is persisted to the store and fanned out to every waiting
 // submitter; later duplicates (stale leases racing a requeue) report
-// accepted=false and are dropped.
+// accepted=false and are dropped. A successful result whose config does
+// not hash to hash is rejected the same way before it touches the
+// scheduler: nothing is stored, no waiter wakes, and the lease stays
+// as it was, so it expires and the cell is requeued.
 func (s *Server) Complete(leaseID int64, hash string, res experiments.RunResult, errMsg string) bool {
 	cellFailed := errMsg != ""
+	if !cellFailed {
+		got, err := experiments.ConfigHash(res.Cfg)
+		if err == nil && got != hash {
+			err = fmt.Errorf("its config hashes to %s", got)
+		}
+		if err != nil {
+			s.sched.noteMismatch()
+			s.logf("fabric: lease %d: rejected the result for %s: %v", leaseID, hash, err)
+			return false
+		}
+	}
 	ws, ok := s.sched.complete(leaseID, hash, cellFailed)
 	if !ok {
 		return false
