@@ -40,20 +40,17 @@ type Array struct {
 	queueHist *metrics.LatencyHist // sample unit: queue depth, abusing ns=depth
 	concHist  *metrics.LatencyHist // concurrent busy devices per submit
 
-	// queuers[i] is device i's queue-state view, nil if it has none;
-	// resolved once at attach so issue does no type assertion. The
-	// busy devices sampled per submit are busyTracked, which devices
-	// implementing busyTracker keep current themselves, plus a poll of
-	// polled, the queuers whose busy state is time-based (SSD
-	// channels) and so cannot report its changes.
-	queuers     []queuer
+	// views[i] is device i's optional interfaces, resolved once at
+	// attach so issue does no type assertion. The busy devices sampled
+	// per submit are busyTracked, which devices implementing
+	// busyTracker keep current themselves, plus a poll of polled, the
+	// queuers whose busy state is time-based (SSD channels) and so
+	// cannot report its changes.
+	views       []devView
 	polled      []queuer
 	busyTracked int
 
-	// retains[i] reports whether device i keeps the *Request beyond
-	// Submit; devices that don't (instant models) are fed the shared
-	// scratch request, so hot instant-mode runs allocate no requests.
-	retains []bool
+	// scratch is the request fed to devices that do not retain it.
 	scratch disk.Request
 
 	// freelists for the per-I/O control structures. The array (like
@@ -67,6 +64,26 @@ type Array struct {
 	// hot-path check reduces to one nil test, keeping the healthy
 	// submit path's cost (and allocation count) unchanged.
 	faults *faultState
+}
+
+// devView is one device's optional interfaces.
+type devView struct {
+	// q is the queue-state view, nil if the device has none.
+	q queuer
+	// now completes healthy I/O inline, nil unless the device is
+	// instant (see submitBranch).
+	now instantSubmitter
+	// retains reports whether the device keeps the *Request beyond
+	// Submit; devices that don't (instant models) are fed the shared
+	// scratch request, so hot instant-mode runs allocate no requests.
+	retains bool
+}
+
+// instantSubmitter is implemented by device models that can complete
+// an I/O at the current instant without scheduling its completion
+// (disk.NullDevice.SubmitNow).
+type instantSubmitter interface {
+	SubmitNow(op disk.Op, block, count int64) bool
 }
 
 // nonRetaining is implemented by device models that drop the *Request
@@ -98,8 +115,7 @@ func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 		devices:   devices,
 		queueHist: metrics.NewLatencyHist(),
 		concHist:  metrics.NewLatencyHist(),
-		retains:   make([]bool, 0, len(devices)),
-		queuers:   make([]queuer, 0, len(devices)),
+		views:     make([]devView, 0, len(devices)),
 	}
 	for _, d := range devices {
 		a.attach(d)
@@ -109,9 +125,9 @@ func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 
 // attach resolves a newly installed device's optional interfaces.
 func (a *Array) attach(d disk.Device) {
-	a.retains = append(a.retains, retainsRequests(d))
 	q, _ := d.(queuer)
-	a.queuers = append(a.queuers, q)
+	now, _ := d.(instantSubmitter)
+	a.views = append(a.views, devView{q: q, now: now, retains: retainsRequests(d)})
 	if q == nil {
 		return
 	}
@@ -179,14 +195,27 @@ func (a *Array) submit(dev int, op disk.Op, block, count int64, trackSeq bool, d
 		// errors resubmit with exponential backoff instead of surfacing
 		// to the controller.
 		r := f.newRetry(a, dev, op, block, count, trackSeq, done)
-		a.issue(dev, op, block, count, trackSeq, r.doneFn, r.failFn)
+		a.issue(dev, op, block, count, trackSeq, nil, r.doneFn, r.failFn)
 		return
 	}
-	a.issue(dev, op, block, count, trackSeq, done, nil)
+	a.issue(dev, op, block, count, trackSeq, nil, done, nil)
 }
 
-// issue performs one submission attempt.
-func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, done, fail func(sim.Time)) {
+// submitBranch is submit for one more branch of j. On a healthy array
+// an instant device completes the I/O inline and j takes a credit
+// (join.credit) in place of the zero-delay completion event the device
+// would schedule; every other device gets j.branch() as its callback.
+func (a *Array) submitBranch(dev int, op disk.Op, block, count int64, trackSeq bool, j *join) {
+	if a.faults != nil {
+		a.submit(dev, op, block, count, trackSeq, j.branch())
+		return
+	}
+	a.issue(dev, op, block, count, trackSeq, j, nil, nil)
+}
+
+// issue performs one submission attempt. With j set (a healthy branch
+// from submitBranch) the completion goes to j and done is ignored.
+func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, j *join, done, fail func(sim.Time)) {
 	if dev < 0 || dev >= len(a.devices) {
 		panic(fmt.Sprintf("core: device index %d out of range (%d devices)", dev, len(a.devices)))
 	}
@@ -197,11 +226,19 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, do
 	if a.Seq != nil && trackSeq {
 		a.Seq.Add(now, dev, block, count)
 	}
-	if q := a.queuers[dev]; q != nil {
+	v := &a.views[dev]
+	if q := v.q; q != nil {
 		a.queueHist.Add(sim.Time(q.QueueDepth()))
 		a.concHist.Add(sim.Time(a.busyDevices()))
 	}
-	if a.retains[dev] {
+	if j != nil {
+		if v.now != nil && v.now.SubmitNow(op, block, count) {
+			j.credit(a.Eng)
+			return
+		}
+		done = j.branch()
+	}
+	if v.retains {
 		a.devices[dev].Submit(&disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail})
 		return
 	}
@@ -231,6 +268,10 @@ type join struct {
 	// bound to the join's identity, so it survives pool recycling.
 	completeFn func(sim.Time)
 
+	// instSeq is the engine sequence number of the pending completion
+	// event scheduled by the latest credit, 0 when none is pending.
+	instSeq uint64
+
 	arr  *Array // owning pool; nil for pool-less joins (tests)
 	next *join  // freelist link
 }
@@ -247,7 +288,7 @@ func (a *Array) newJoin(fn func(sim.Time)) *join {
 		return &join{fn: fn, arr: a}
 	}
 	a.joinFree = j.next
-	j.pending, j.sealed, j.fired, j.last = 0, false, false, 0
+	j.pending, j.sealed, j.fired, j.last, j.instSeq = 0, false, false, 0, 0
 	j.fn, j.next = fn, nil
 	return j
 }
@@ -265,11 +306,38 @@ func (j *join) branch() func(sim.Time) {
 	return j.completeFn
 }
 
+// credit registers one more branch that already completed at the
+// current instant, on an instant device. The first credit schedules
+// complete at the current instant, like the device's own zero-delay
+// completion would. A credit taken while that event is still the
+// engine's most recently scheduled one (eng.Seq unchanged) is free:
+// the event it would schedule would sit right behind it in the
+// same-instant FIFO with nothing in between, and its only effect
+// would be one more pending-- before the join can fire. So one event
+// stands for a run of consecutive instant completions, firing at the
+// first one's FIFO position, and everything else fires in exactly the
+// order it would with one event per completion.
+func (j *join) credit(eng *sim.Engine) {
+	if j.sealed {
+		panic("core: credit after seal")
+	}
+	if j.instSeq != 0 && j.instSeq == eng.Seq() {
+		return
+	}
+	j.pending++
+	if j.completeFn == nil {
+		j.completeFn = j.complete
+	}
+	eng.ScheduleTimed(eng.Now(), j.completeFn)
+	j.instSeq = eng.Seq()
+}
+
 func (j *join) complete(at sim.Time) {
 	if at > j.last {
 		j.last = at
 	}
 	j.pending--
+	j.instSeq = 0
 	j.maybeFire()
 }
 
@@ -384,7 +452,7 @@ func (s *span) readExtent(e raid.Extent) {
 		s.degDisk, s.degLog, s.degBlk, s.degN = e.Data.Disk, e.Logical, e.Data.Block, e.Count
 		return
 	}
-	s.arr.Submit(dev, disk.OpRead, s.base+e.Data.Block, e.Count, s.curJoin.branch())
+	s.arr.submitBranch(dev, disk.OpRead, s.base+e.Data.Block, e.Count, true, s.curJoin)
 }
 
 // rmw is one extent's read-modify-write cycle in flight: the pre-read
@@ -419,7 +487,7 @@ func (a *Array) newRMW() *rmw {
 func (r *rmw) phase2(sim.Time) {
 	inner := r.arr.newJoin(r.writes)
 	for i := 0; i < r.nloc; i++ {
-		r.arr.submit(r.devs[i], disk.OpWrite, r.blks[i], r.count, i == 0, inner.branch())
+		r.arr.submitBranch(r.devs[i], disk.OpWrite, r.blks[i], r.count, i == 0, inner)
 	}
 	inner.seal(r.arr.Eng.Now())
 	r.writes = nil
@@ -447,7 +515,7 @@ func (s *span) writeExtent(e raid.Extent) {
 		return
 	}
 	if e.Parity.Disk < 0 {
-		s.arr.Submit(s.disks[e.Data.Disk], disk.OpWrite, s.base+e.Data.Block, e.Count, s.curJoin.branch())
+		s.arr.submitBranch(s.disks[e.Data.Disk], disk.OpWrite, s.base+e.Data.Block, e.Count, true, s.curJoin)
 		return
 	}
 	r := s.arr.newRMW()
@@ -466,7 +534,7 @@ func (s *span) writeExtent(e raid.Extent) {
 	// The pre-reads (including the old-data read, which retraces
 	// the data position) are RMW mechanics, not access pattern.
 	for i := 0; i < r.nloc; i++ {
-		s.arr.submit(r.devs[i], disk.OpRead, r.blks[i], r.count, false, phase1.branch())
+		s.arr.submitBranch(r.devs[i], disk.OpRead, r.blks[i], r.count, false, phase1)
 	}
 	phase1.seal(s.arr.Eng.Now())
 }

@@ -182,7 +182,7 @@ func (r *retryOp) fail(at sim.Time) {
 
 // retry resubmits the attempt.
 func (r *retryOp) retry() {
-	r.arr.issue(r.dev, r.op, r.block, r.count, r.trackSeq, r.doneFn, r.failFn)
+	r.arr.issue(r.dev, r.op, r.block, r.count, r.trackSeq, nil, r.doneFn, r.failFn)
 }
 
 // complete finishes the logical submission and recycles the op (before

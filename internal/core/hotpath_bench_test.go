@@ -41,6 +41,7 @@ func benchSubmit(b *testing.B, reqs []trace.Record) {
 		c.Submit(r, nil)
 		eng.Run()
 	}
+	fired := eng.SchedStats().Fired
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,6 +51,7 @@ func benchSubmit(b *testing.B, reqs []trace.Record) {
 		}
 	}
 	b.ReportMetric(float64(blocks), "blocks/op")
+	b.ReportMetric(float64(eng.SchedStats().Fired-fired)/float64(b.N), "events/op")
 }
 
 // seqMix builds a 60/40 read/write stream of 256-block sequential
@@ -113,6 +115,7 @@ func BenchmarkSubmitSequential(b *testing.B) {
 // is cache-resident, so every record costs exactly the monitor's fixed
 // overhead (classification + policy access + redirected I/O) and the
 // whole Submit path must stay allocation-free (see TestSubmitWarmAllocFree).
+// events/op counts the engine events one pass over the records fires.
 func BenchmarkSubmitWarm(b *testing.B) {
 	reqs := warmMix(400)
 	benchSubmit(b, reqs)

@@ -134,10 +134,12 @@ func (s *Stats) observeQueue(depth int) {
 	}
 }
 
-func checkRange(d Device, r *Request) {
-	if r.Count < 1 || r.Block < 0 || r.Block+r.Count > d.CapacityBlocks() {
+func checkRange(d Device, r *Request) { checkBlocks(d, r.Block, r.Count) }
+
+func checkBlocks(d Device, block, count int64) {
+	if count < 1 || block < 0 || block+count > d.CapacityBlocks() {
 		panic(fmt.Sprintf("disk: request [%d,+%d) out of range on %s (capacity %d blocks)",
-			r.Block, r.Count, d.Name(), d.CapacityBlocks()))
+			block, count, d.Name(), d.CapacityBlocks()))
 	}
 }
 
@@ -219,17 +221,38 @@ func (d *NullDevice) Submit(r *Request) {
 		completeFault(d.eng, 0, r)
 		return
 	}
-	if r.Op == OpRead {
-		d.stats.Reads++
-		d.stats.BlocksRead += r.Count
-	} else {
-		d.stats.Writes++
-		d.stats.BlocksWrite += r.Count
-	}
+	d.count(r.Op, r.Count)
 	if r.Done != nil {
 		// Zero-delay timed event: preserves callback ordering without
 		// allocating a wrapper closure per request.
 		d.eng.AfterTimed(0, r.Done)
+	}
+}
+
+// SubmitNow completes a request of count blocks at block right away,
+// with the same accounting as Submit, and schedules nothing: the
+// caller stands in for the completion event Submit would schedule at
+// the current instant. It returns false, with no side effect, when the
+// device is failed or has an injector; the caller then submits the
+// request through Submit, which draws the verdict.
+func (d *NullDevice) SubmitNow(op Op, block, count int64) bool {
+	if d.failed || d.inj != nil {
+		return false
+	}
+	checkBlocks(d, block, count)
+	d.stats.observeQueue(0)
+	d.count(op, count)
+	return true
+}
+
+// count records one completed request.
+func (d *NullDevice) count(op Op, blocks int64) {
+	if op == OpRead {
+		d.stats.Reads++
+		d.stats.BlocksRead += blocks
+	} else {
+		d.stats.Writes++
+		d.stats.BlocksWrite += blocks
 	}
 }
 

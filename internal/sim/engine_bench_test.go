@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -61,4 +62,32 @@ func BenchmarkEngineSameTickRing(b *testing.B) {
 	b.ResetTimer()
 	eng.AfterTimed(0, fn)
 	eng.Run()
+}
+
+// BenchmarkEngineSparseTimer measures one lone far-future timer,
+// re-armed 10 ms–10 s ahead (log-uniform) each time it fires: the shape
+// of a replay's single pending record arrival on a sparse trace. Each
+// event drains straight from its level-1/2 slot; cascades/op reports
+// any slot cascade that creeps back in.
+func BenchmarkEngineSparseTimer(b *testing.B) {
+	delays := make([]Time, 1024)
+	rng := rand.New(rand.NewSource(42))
+	for i := range delays {
+		delays[i] = Time(float64(10*Millisecond) * math.Pow(1000, rng.Float64()))
+	}
+	eng := NewEngine()
+	remaining := b.N
+	di := 0
+	var fn func(Time)
+	fn = func(at Time) {
+		if remaining--; remaining > 0 {
+			di = (di + 1) & 1023
+			eng.AfterTimed(delays[di], fn)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.AfterTimed(delays[0], fn)
+	eng.Run()
+	b.ReportMetric(float64(eng.SchedStats().Cascaded)/float64(b.N), "cascades/op")
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -97,6 +98,90 @@ func TestSchedulerTortureWheelVsHeap(t *testing.T) {
 		wheel := runScript(NewEngine(), ops)
 		heap := runScript(&heapEngine{}, ops)
 		sameFirings(t, fmt.Sprintf("seed %d", seed), wheel, heap)
+	}
+}
+
+// sparseTimer keeps exactly one timer pending, re-armed 10 ms–10 s
+// ahead (log-uniform) each time it fires, and logs every firing.
+func sparseTimer(eng clock, seed int64, n int) []firing {
+	rng := rand.New(rand.NewSource(seed))
+	var log []firing
+	var arm func()
+	arm = func() {
+		id := len(log)
+		delay := Time(float64(10*Millisecond) * math.Pow(1000, rng.Float64()))
+		eng.After(delay, func() {
+			log = append(log, firing{eng.Now(), id})
+			if len(log) < n {
+				arm()
+			}
+		})
+	}
+	arm()
+	eng.Run()
+	return log
+}
+
+// TestSchedulerSparseTimerNoCascade runs one far-future timer at a time
+// against the heap reference. Each sits alone at level 1 or 2, below
+// every other candidate, so the wheel drains it straight into the fire
+// buffer: same firings, and not a single cascade.
+func TestSchedulerSparseTimerNoCascade(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		eng := NewEngine()
+		wheel := sparseTimer(eng, seed, 2000)
+		sameFirings(t, fmt.Sprintf("seed %d", seed), wheel, sparseTimer(&heapEngine{}, seed, 2000))
+		st := eng.SchedStats()
+		if st.Cascaded != 0 {
+			t.Fatalf("seed %d: %d cascades for a lone timer, want 0", seed, st.Cascaded)
+		}
+		if st.Level[1] == 0 || st.Level[2] == 0 {
+			t.Fatalf("seed %d: placements per level %v: want both level 1 and level 2 exercised", seed, st.Level)
+		}
+	}
+}
+
+// TestSchedulerLoneSlotTie pins the strictness of the lone-event drain.
+// A lone level-1 or level-2 event shares its tick with an event filed
+// at a finer level later, once the clock has moved close; the later
+// event has the earlier instant and must fire first. Draining the lone
+// event straight into the fire buffer would fire it alone, ahead of
+// its tick-mate.
+func TestSchedulerLoneSlotTie(t *testing.T) {
+	const slot1 = int64(1) << wheelSlotBits       // ticks per level-1 slot
+	const slot2 = int64(1) << (2 * wheelSlotBits) // ticks per level-2 slot
+	for _, tc := range []struct {
+		name  string
+		start int64 // first tick of the lone event's slot
+	}{
+		{"level 1", 100 * slot1},
+		{"level 2", 3 * slot2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lone := tc.start + 5 // the lone event's tick
+			hop := tc.start - 11 // fires first, alone in the slot below
+			at := func(tick, ns int64) Time { return Time(tick<<wheelTickShift + ns) }
+			script := func(eng clock) []firing {
+				var log []firing
+				eng.Schedule(at(lone, 700), func() { log = append(log, firing{eng.Now(), 1}) })
+				eng.Schedule(at(hop, 0), func() {
+					log = append(log, firing{eng.Now(), 0})
+					// Within 256 ticks of the clock: level 0.
+					eng.Schedule(at(lone, 100), func() { log = append(log, firing{eng.Now(), 2}) })
+				})
+				eng.Run()
+				return log
+			}
+			eng := NewEngine()
+			got := script(eng)
+			sameFirings(t, tc.name, got, script(&heapEngine{}))
+			if want := []int{0, 2, 1}; len(got) != 3 || got[1].id != want[1] || got[2].id != want[2] {
+				t.Fatalf("firing order %+v, want ids %v", got, want)
+			}
+			if eng.SchedStats().Cascaded == 0 {
+				t.Fatal("the tied lone event was not cascaded")
+			}
+		})
 	}
 }
 

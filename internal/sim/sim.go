@@ -200,6 +200,16 @@ func (e *Engine) flushStats() {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
+// Seq is the engine's schedule counter. Every Schedule/ScheduleTimed
+// (and After/AfterTimed) call increments it, and so does a RunUntil
+// that moves the clock forward without firing an event. A caller that
+// notes Seq right after scheduling an event at the current instant,
+// and later finds it unchanged while that event is still pending,
+// knows that the clock has not moved and nothing has been scheduled
+// since: the event sits last in the same-instant FIFO, and an event
+// scheduled at the current instant now would fire directly after it.
+func (e *Engine) Seq() uint64 { return e.seq }
+
 // Pending reports the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return e.wheel.n + len(e.ring) - e.ringHead }
 
@@ -312,6 +322,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
+		e.seq++ // see Seq: the clock moved
 	}
 	e.flushStats()
 }

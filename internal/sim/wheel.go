@@ -153,7 +153,8 @@ func cmpEvent(a, b event) int {
 // ensureBuf refills the sorted fire buffer if it is empty: repeatedly
 // takes the minimal candidate among the earliest occupied slot of each
 // level and the overflow heap — cascading higher-level slots down and
-// promoting overflow events — until a level-0 slot wins and is drained.
+// promoting overflow events — until a level-0 slot wins and is drained,
+// or a higher-level slot wins holding one event that drains directly.
 func (w *wheelQ) ensureBuf() bool {
 	if w.bufHead < len(w.buf) {
 		return true
@@ -201,8 +202,14 @@ func (w *wheelQ) ensureBuf() bool {
 				w.place(ev, tt)
 			}
 		case s2 <= t0 && s2 <= s1:
+			if w.drainLone(2, s2, min(t0, s1, to)) {
+				return true
+			}
 			w.cascade(2, s2)
 		case s1 <= t0:
+			if w.drainLone(1, s1, min(t0, s2, to)) {
+				return true
+			}
 			w.cascade(1, s1)
 		default:
 			if t0 == inf {
@@ -224,6 +231,33 @@ func (w *wheelQ) ensureBuf() bool {
 			return true
 		}
 	}
+}
+
+// drainLone moves the level-l slot starting at tick start straight
+// into the fire buffer, instead of cascading it, when the slot holds a
+// single event whose tick is below bound, the earliest tick any other
+// level or the overflow heap can hold. That event is then the unique
+// minimum, alone at its tick, so the cascade would only carry it down
+// level by level to the same end state: buf holding just it, curTick
+// one past its tick. A tick equal to bound may be shared with an event
+// elsewhere, which must be sorted in with it, so ties cascade.
+func (w *wheelQ) drainLone(level int, start, bound int64) bool {
+	idx := (start >> (uint(level) * wheelSlotBits)) & wheelSlotMask
+	nd := w.slots[level][idx]
+	if nd.next != nil {
+		return false
+	}
+	t := int64(nd.ev.at) >> wheelTickShift
+	if t >= bound {
+		return false
+	}
+	w.occ[level][idx>>6] &^= 1 << (uint(idx) & 63)
+	w.slots[level][idx] = nil
+	w.buf = append(w.buf, nd.ev)
+	nd.ev, nd.next = event{}, w.free
+	w.free = nd
+	w.curTick = t + 1
+	return true
 }
 
 // cascade empties the level-l slot starting at tick start, re-placing
