@@ -117,6 +117,38 @@ func TestHDDTinyDiskServiceTimesFinite(t *testing.T) {
 	}
 }
 
+// TestHDDTinyDiskZoneLayout pins the zone list of disks too small for
+// one cylinder per zone: the list stops at the zone that reaches the
+// capacity, every zone has at least one cylinder, the zones tile blocks
+// and cylinders without gaps, the last block lies in the last zone, and
+// the cylinder count is exactly the stroke the blocks occupy.
+func TestHDDTinyDiskZoneLayout(t *testing.T) {
+	eng := sim.NewEngine()
+	for capacity := int64(1); capacity <= 10000; capacity++ {
+		cfg := CheetahConfig("tiny")
+		cfg.CapacityBlocks = capacity
+		d := NewHDD(eng, cfg)
+		if len(d.zones) == 0 || len(d.zones) > cfg.Zones {
+			t.Fatalf("capacity %d: %d zones", capacity, len(d.zones))
+		}
+		var block, cyl int64
+		for i, z := range d.zones {
+			if z.cylinders < 1 || z.firstBlock != block || z.firstCyl != cyl {
+				t.Fatalf("capacity %d: zone %d = %+v after %d blocks on %d cylinders", capacity, i, z, block, cyl)
+			}
+			block += z.cylinders * z.blocksPCyl
+			cyl += z.cylinders
+		}
+		zn, lastCyl, _ := d.locate(capacity - 1)
+		if zn != &d.zones[len(d.zones)-1] {
+			t.Fatalf("capacity %d: last block in zone %+v, not the last zone", capacity, *zn)
+		}
+		if d.totalCyls != lastCyl+1 {
+			t.Fatalf("capacity %d: %d cylinders counted, last block on cylinder %d", capacity, d.totalCyls, lastCyl)
+		}
+	}
+}
+
 func TestHDDZonedDensityDecreasesInward(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewHDD(eng, CheetahConfig("hdd0"))

@@ -203,9 +203,14 @@ func NewHDD(eng *sim.Engine, cfg HDDConfig) *HDD {
 	return d
 }
 
-// buildZones lays out cfg.Zones zones whose per-track density falls
-// linearly from OuterBlocksPT to InnerBlocksPT and whose total capacity
-// is exactly cfg.CapacityBlocks (the last zone absorbs rounding).
+// buildZones lays out up to cfg.Zones zones whose per-track density
+// falls linearly from OuterBlocksPT to InnerBlocksPT and whose total
+// capacity is exactly cfg.CapacityBlocks. The zone that reaches the
+// capacity is the last one: it keeps just the cylinders the remaining
+// blocks occupy (the last of all zones absorbs rounding this way), and
+// a disk too small for one cylinder per zone has fewer zones. So every
+// zone has at least one cylinder, and the cylinder count is the stroke
+// the blocks occupy.
 func (d *HDD) buildZones() {
 	cfg := &d.cfg
 	// First pass: provisional equal-cylinder zones to estimate how many
@@ -217,7 +222,7 @@ func (d *HDD) buildZones() {
 		perZone = 1
 	}
 	var block, cyl int64
-	for z := 0; z < cfg.Zones; z++ {
+	for z := 0; z < cfg.Zones && block < cfg.CapacityBlocks; z++ {
 		frac := float64(z) / float64(cfg.Zones-1)
 		if cfg.Zones == 1 {
 			frac = 0
@@ -230,9 +235,8 @@ func (d *HDD) buildZones() {
 			blocksPT:   pt,
 			blocksPCyl: pt * int64(cfg.Heads),
 		}
-		if z == cfg.Zones-1 {
-			// Stretch the last zone to cover the remaining capacity.
-			remaining := cfg.CapacityBlocks - block
+		remaining := cfg.CapacityBlocks - block
+		if z == cfg.Zones-1 || zn.cylinders*zn.blocksPCyl >= remaining {
 			zn.cylinders = (remaining + zn.blocksPCyl - 1) / zn.blocksPCyl
 		}
 		d.zones = append(d.zones, zn)
@@ -240,15 +244,6 @@ func (d *HDD) buildZones() {
 		cyl += zn.cylinders
 	}
 	d.totalCyls = cyl
-	if d.totalCyls < 3 {
-		// A disk with fewer cylinders than zones covers its capacity
-		// before the last zone, which then stretches to a non-positive
-		// size and shrinks the count — to zero or one cylinder on the
-		// smallest disks, leaving no stroke to calibrate a seek curve
-		// against. Count the cylinders the blocks occupy instead.
-		_, lastCyl, _ := d.locate(cfg.CapacityBlocks - 1)
-		d.totalCyls = lastCyl + 1
-	}
 }
 
 // calibrateSeek solves seek(d) = TrackToTrack + b*sqrt(d) + c*d for b, c
