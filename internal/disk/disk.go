@@ -239,7 +239,9 @@ func (d *NullDevice) SubmitNow(op Op, block, count int64) bool {
 	if d.failed || d.inj != nil {
 		return false
 	}
-	checkBlocks(d, block, count)
+	if count < 1 || block < 0 || block+count > d.capacity {
+		checkBlocks(d, block, count) // panics with the full message
+	}
 	d.stats.observeQueue(0)
 	d.count(op, count)
 	return true
