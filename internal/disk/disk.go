@@ -134,9 +134,7 @@ func (s *Stats) observeQueue(depth int) {
 	}
 }
 
-func checkRange(d Device, r *Request) { checkBlocks(d, r.Block, r.Count) }
-
-func checkBlocks(d Device, block, count int64) {
+func checkRange(d Device, block, count int64) {
 	if count < 1 || block < 0 || block+count > d.CapacityBlocks() {
 		panic(fmt.Sprintf("disk: request [%d,+%d) out of range on %s (capacity %d blocks)",
 			block, count, d.Name(), d.CapacityBlocks()))
@@ -206,7 +204,7 @@ func NewNullDevice(eng *sim.Engine, name string, capacityBlocks int64) *NullDevi
 // simulated instant (via a zero-delay event, preserving callback
 // ordering guarantees).
 func (d *NullDevice) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(d, r.Block, r.Count)
 	d.stats.observeQueue(0)
 	if d.failed {
 		d.stats.Rejected++
@@ -240,7 +238,7 @@ func (d *NullDevice) SubmitNow(op Op, block, count int64) bool {
 		return false
 	}
 	if count < 1 || block < 0 || block+count > d.capacity {
-		checkBlocks(d, block, count) // panics with the full message
+		checkRange(d, block, count) // panics with the full message
 	}
 	d.stats.observeQueue(0)
 	d.count(op, count)

@@ -343,7 +343,7 @@ func (d *HDD) noteBusy(was bool) {
 
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(d, r.Block, r.Count)
 	r.arrive = d.eng.Now()
 	d.stats.observeQueue(d.QueueDepth())
 

@@ -147,7 +147,7 @@ func (d *SSD) Busy() bool { return d.QueueDepth() > 0 }
 // Submit implements Device. Blocks are spread over channels
 // round-robin; the request completes when its slowest channel finishes.
 func (d *SSD) Submit(r *Request) {
-	checkRange(d, r)
+	checkRange(d, r.Block, r.Count)
 	now := d.eng.Now()
 	d.stats.observeQueue(d.QueueDepth())
 
