@@ -236,7 +236,8 @@ func (w *wheelQ) ensureBuf() bool {
 // drainLone moves the level-l slot starting at tick start straight
 // into the fire buffer, instead of cascading it, when the slot holds a
 // single event whose tick is below bound, the earliest tick any other
-// level or the overflow heap can hold. That event is then the unique
+// level or the overflow heap can hold (later slots of this level start
+// past this slot's last tick). That event is then the unique
 // minimum, alone at its tick, so the cascade would only carry it down
 // level by level to the same end state: buf holding just it, curTick
 // one past its tick. A tick equal to bound may be shared with an event
