@@ -50,7 +50,8 @@ type Array struct {
 	polled      []queuer
 	busyTracked int
 
-	// scratch is the request fed to devices that do not retain it.
+	// scratch is the request every submission fills in: devices copy
+	// what they need before Submit returns (disk.Device.Submit).
 	scratch disk.Request
 
 	// freelists for the per-I/O control structures. The array (like
@@ -73,10 +74,6 @@ type devView struct {
 	// now completes healthy I/O inline, nil unless the device is
 	// instant (see submitBranch).
 	now instantSubmitter
-	// retains reports whether the device keeps the *Request beyond
-	// Submit; devices that don't (instant models) are fed the shared
-	// scratch request, so hot instant-mode runs allocate no requests.
-	retains bool
 }
 
 // instantSubmitter is implemented by device models that can complete
@@ -84,17 +81,6 @@ type devView struct {
 // (disk.NullDevice.SubmitNow).
 type instantSubmitter interface {
 	SubmitNow(op disk.Op, block, count int64) bool
-}
-
-// nonRetaining is implemented by device models that drop the *Request
-// before Submit returns.
-type nonRetaining interface{ RetainsRequests() bool }
-
-func retainsRequests(d disk.Device) bool {
-	if nr, ok := d.(nonRetaining); ok {
-		return nr.RetainsRequests()
-	}
-	return true
 }
 
 // queuer is implemented by device models that expose queue state.
@@ -127,7 +113,7 @@ func NewArray(eng *sim.Engine, devices []disk.Device) *Array {
 func (a *Array) attach(d disk.Device) {
 	q, _ := d.(queuer)
 	now, _ := d.(instantSubmitter)
-	a.views = append(a.views, devView{q: q, now: now, retains: retainsRequests(d)})
+	a.views = append(a.views, devView{q: q, now: now})
 	if q == nil {
 		return
 	}
@@ -237,10 +223,6 @@ func (a *Array) issue(dev int, op disk.Op, block, count int64, trackSeq bool, j 
 			return
 		}
 		done = j.branch()
-	}
-	if v.retains {
-		a.devices[dev].Submit(&disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail})
-		return
 	}
 	a.scratch = disk.Request{Op: op, Block: block, Count: count, Done: done, Fail: fail}
 	a.devices[dev].Submit(&a.scratch)

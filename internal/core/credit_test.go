@@ -16,8 +16,6 @@ import (
 // with a zero-delay event of its own instead of a join credit.
 type eventPerIO struct{ disk.Device }
 
-func (d eventPerIO) RetainsRequests() bool { return retainsRequests(d.Device) }
-
 // queuedEventPerIO also forwards the queue-state view of devices that
 // have one.
 type queuedEventPerIO struct {

@@ -682,6 +682,21 @@ type rebuildJob struct {
 	cur      int
 	lostRows int64 // rows this job declared unrecoverable
 	stepFn   func()
+
+	// The batch in flight. A job runs one batch at a time (its last
+	// phase schedules the next step), so the job carries the batch
+	// state, and the three phases are method values bound once per job.
+	b                  rebuildBatch
+	readsFn, writtenFn func(sim.Time)
+	reconFn            func()
+}
+
+// rebuildBatch is one run of consecutive stripe rows being rebuilt.
+type rebuildBatch struct {
+	s            *span
+	blk, n, rows int64
+	missing      int
+	start, pace  sim.Time
 }
 
 type spanWalk struct {
@@ -721,6 +736,7 @@ func (rt *FaultRuntime) startRebuild(dev int, rateMBps float64) {
 func (rt *FaultRuntime) launchRebuild(dev int, rateMBps float64) {
 	job := &rebuildJob{rt: rt, dev: dev, rateMBps: rateMBps, epoch: rt.epoch}
 	job.stepFn = job.step
+	job.readsFn, job.reconFn, job.writtenFn = job.readsDone, job.reconstructed, job.written
 	for _, s := range rt.spans() {
 		if s.red == nil {
 			continue
@@ -811,30 +827,8 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 		return
 	}
 	pace := sim.Time(float64(n*disk.BlockSize) * 1000 / r.rateMBps)
-	sub := rt.arr.newJoin(func(sim.Time) {
-		if r.epoch != rt.epoch {
-			return
-		}
-		eng.After(f.reconPerBlock*sim.Time(n)*sim.Time(missing), func() {
-			if r.epoch != rt.epoch {
-				return
-			}
-			wr := rt.arr.newJoin(func(sim.Time) {
-				if r.epoch != rt.epoch {
-					return
-				}
-				f.stats.RebuildRows += rows
-				f.stats.RebuildBlocks += n
-				next := start + pace
-				if next < eng.Now() {
-					next = eng.Now()
-				}
-				eng.Schedule(next, r.stepFn)
-			})
-			rt.arr.submit(dev, disk.OpWrite, s.base+blk, n, false, wr.branch())
-			wr.seal(eng.Now())
-		})
-	})
+	r.b = rebuildBatch{s: s, blk: blk, n: n, rows: rows, missing: missing, start: start, pace: pace}
+	sub := rt.arr.newJoin(r.readsFn)
 	for _, p := range peers {
 		d := s.disks[p]
 		if rt.arr.deviceDown(d) || d == dev {
@@ -844,6 +838,44 @@ func (r *rebuildJob) run(sw spanWalk, blk, n, rows int64, peers []int) {
 		rt.arr.submit(d, disk.OpRead, s.base+blk, n, false, sub.branch())
 	}
 	sub.seal(eng.Now())
+}
+
+// readsDone follows a batch's peer reads: pay the decode.
+func (r *rebuildJob) readsDone(sim.Time) {
+	if r.epoch != r.rt.epoch {
+		return
+	}
+	b := &r.b
+	r.rt.arr.Eng.After(r.rt.arr.faults.reconPerBlock*sim.Time(b.n)*sim.Time(b.missing), r.reconFn)
+}
+
+// reconstructed follows a batch's decode: write the run to the spare.
+func (r *rebuildJob) reconstructed() {
+	rt := r.rt
+	if r.epoch != rt.epoch {
+		return
+	}
+	b := &r.b
+	wr := rt.arr.newJoin(r.writtenFn)
+	rt.arr.submit(r.dev, disk.OpWrite, b.s.base+b.blk, b.n, false, wr.branch())
+	wr.seal(rt.arr.Eng.Now())
+}
+
+// written follows a batch's spare write: count the batch and schedule
+// the next step no earlier than the pace allows.
+func (r *rebuildJob) written(sim.Time) {
+	rt := r.rt
+	if r.epoch != rt.epoch {
+		return
+	}
+	f, eng, b := rt.arr.faults, rt.arr.Eng, &r.b
+	f.stats.RebuildRows += b.rows
+	f.stats.RebuildBlocks += b.n
+	next := b.start + b.pace
+	if next < eng.Now() {
+		next = eng.Now()
+	}
+	eng.Schedule(next, r.stepFn)
 }
 
 // abortWalk declares the current span walk unrecoverable — a further

@@ -61,9 +61,8 @@ type Request struct {
 	// fault-unaware callers still observe exactly one completion.
 	Fail func(at sim.Time)
 
-	arrive sim.Time
-	fail   bool    // verdict drawn at submit: complete with an error
-	latX   float64 // service-time multiplier drawn at submit (<=1 = none)
+	fail bool    // verdict drawn at submit: complete with an error
+	latX float64 // service-time multiplier drawn at submit (<=1 = none)
 }
 
 // Injector decides the fate of individual requests on behalf of a
@@ -88,7 +87,9 @@ type Faultable interface {
 type Device interface {
 	// Submit enqueues the request. Completion is reported through
 	// r.Done. Submit panics if the request is out of range: device
-	// models cannot repair addressing bugs in upper layers.
+	// models cannot repair addressing bugs in upper layers. A device
+	// keeps no reference to r: it copies what it needs before Submit
+	// returns, so the caller may reuse r right away.
 	Submit(r *Request)
 	// CapacityBlocks is the number of addressable logical blocks.
 	CapacityBlocks() int64
@@ -172,7 +173,7 @@ func (f *faultState) draw(r *Request) {
 // completeFault completes r with an error after delay: through Fail
 // when set, falling back to Done so fault-unaware callers still get
 // exactly one completion. The callback is captured immediately because
-// non-retaining devices let callers reuse the request structure.
+// the caller may reuse the request structure once Submit returns.
 func completeFault(eng *sim.Engine, delay sim.Time, r *Request) {
 	cb := r.Fail
 	if cb == nil {
@@ -255,10 +256,6 @@ func (d *NullDevice) count(op Op, blocks int64) {
 		d.stats.BlocksWrite += blocks
 	}
 }
-
-// RetainsRequests reports that NullDevice never keeps a *Request past
-// Submit, so callers may reuse the request structure immediately.
-func (d *NullDevice) RetainsRequests() bool { return false }
 
 // CapacityBlocks implements Device.
 func (d *NullDevice) CapacityBlocks() int64 { return d.capacity }

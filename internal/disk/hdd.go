@@ -3,7 +3,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"craid/internal/sim"
 )
@@ -78,6 +77,7 @@ func CheetahConfig(name string) HDDConfig {
 // zone is a contiguous run of cylinders with a common track density.
 type zone struct {
 	firstBlock int64 // first logical block of the zone
+	endBlock   int64 // first block past the zone's last cylinder
 	firstCyl   int64
 	cylinders  int64
 	blocksPT   int64 // blocks per track
@@ -98,11 +98,15 @@ type HDD struct {
 	seekC     float64  // linear coefficient of the seek curve (ns)
 	totalCyls int64
 
-	queue    []*Request
-	busy     bool
-	curCyl   int64
-	sweepUp  bool // LOOK sweep direction
-	fcfsHead int  // index of next FCFS request (queue is appended-to)
+	queue   []*hddReq
+	busy    bool
+	curCyl  int64
+	sweepUp bool // LOOK sweep direction
+
+	// reqFree is the freelist of request copies: Submit takes one, and
+	// it goes back as soon as its fields are copied out (service start
+	// or write-cache absorption).
+	reqFree *hddReq
 
 	// Read cache: fixed number of segments, each holding one
 	// contiguous block range; LRU replacement.
@@ -113,7 +117,7 @@ type HDD struct {
 	dirty       int64 // blocks waiting for destage
 	dirtyRanges []blockRange
 	destaging   bool
-	stalled     []*Request // writes waiting for write-cache space
+	stalled     []*hddReq // writes waiting for write-cache space
 
 	// In-service completion, parked in fields rather than a closure:
 	// the busy flag admits exactly one request to the media at a time,
@@ -139,6 +143,35 @@ type HDD struct {
 	busyCount *int
 
 	faultState
+}
+
+// hddReq is the HDD's own copy of a submitted request, pooled on its
+// HDD, with the request's cylinder resolved once at Submit so the
+// schedulers compare stored ints.
+type hddReq struct {
+	Request
+	cyl  int64
+	next *hddReq // freelist link
+}
+
+// newReq copies r into a pooled slot.
+func (d *HDD) newReq(r *Request) *hddReq {
+	q := d.reqFree
+	if q == nil {
+		q = &hddReq{}
+	} else {
+		d.reqFree = q.next
+		q.next = nil
+	}
+	q.Request = *r
+	return q
+}
+
+// freeReq returns q to the pool; its fields must be copied out first.
+func (d *HDD) freeReq(q *hddReq) {
+	q.Done, q.Fail = nil, nil
+	q.next = d.reqFree
+	d.reqFree = q
 }
 
 // absorbOp is one write-back cache absorption waiting out the
@@ -239,8 +272,9 @@ func (d *HDD) buildZones() {
 		if z == cfg.Zones-1 || zn.cylinders*zn.blocksPCyl >= remaining {
 			zn.cylinders = (remaining + zn.blocksPCyl - 1) / zn.blocksPCyl
 		}
-		d.zones = append(d.zones, zn)
 		block += zn.cylinders * zn.blocksPCyl
+		zn.endBlock = block
+		d.zones = append(d.zones, zn)
 		cyl += zn.cylinders
 	}
 	d.totalCyls = cyl
@@ -279,12 +313,13 @@ func (d *HDD) seekTime(dist int64) sim.Time {
 	return sim.Time(t)
 }
 
-// locate maps a block to its zone, cylinder and position on track.
+// locate maps a block to its zone, cylinder and position on track. A
+// linear scan beats a binary search over at most Zones (16) entries.
 func (d *HDD) locate(block int64) (zn *zone, cyl, posOnTrack int64) {
-	i := sort.Search(len(d.zones), func(i int) bool {
-		z := d.zones[i]
-		return block < z.firstBlock+z.cylinders*z.blocksPCyl
-	})
+	i := 0
+	for block >= d.zones[i].endBlock {
+		i++
+	}
 	z := &d.zones[i]
 	rel := block - z.firstBlock
 	cyl = z.firstCyl + rel/z.blocksPCyl
@@ -341,10 +376,10 @@ func (d *HDD) noteBusy(was bool) {
 	}
 }
 
-// Submit implements Device.
+// Submit implements Device. The request is copied into a pooled slot,
+// so the caller may reuse r once Submit returns.
 func (d *HDD) Submit(r *Request) {
 	checkRange(d, r.Block, r.Count)
-	r.arrive = d.eng.Now()
 	d.stats.observeQueue(d.QueueDepth())
 
 	if d.failed {
@@ -355,33 +390,38 @@ func (d *HDD) Submit(r *Request) {
 		completeFault(d.eng, d.cfg.ControllerOver, r)
 		return
 	}
-	d.draw(r)
+	q := d.newReq(r)
+	d.draw(&q.Request)
 
-	if r.Op == OpWrite && d.cfg.WriteCacheBlocks > 0 {
+	if q.Op == OpWrite && d.cfg.WriteCacheBlocks > 0 {
 		// Write-back path: absorb into the cache if space allows.
-		if d.dirty+r.Count <= int64(d.cfg.WriteCacheBlocks) {
-			d.absorbWrite(r)
+		if d.dirty+q.Count <= int64(d.cfg.WriteCacheBlocks) {
+			d.absorbWrite(q)
 			return
 		}
 		// No space: the write stalls until destaging frees room.
-		d.stalled = append(d.stalled, r)
+		d.stalled = append(d.stalled, q)
 		d.kick()
 		return
 	}
 
-	d.queue = append(d.queue, r)
+	_, q.cyl, _ = d.locate(q.Block)
+	d.queue = append(d.queue, q)
 	d.kick()
 }
 
 // absorbWrite completes a write from the write-back cache after the
-// controller overhead and records its blocks for later destage.
-func (d *HDD) absorbWrite(r *Request) {
+// controller overhead and records its blocks for later destage. The
+// slot returns to the pool here.
+func (d *HDD) absorbWrite(q *hddReq) {
+	r := &q.Request
 	if r.fail {
 		// The write dies in the controller: no dirty data, no readable
 		// segment, just overhead and an error completion.
 		d.stats.BusyTime += d.scaled(d.cfg.ControllerOver, r)
 		d.stats.Errors++
 		completeFault(d.eng, d.scaled(d.cfg.ControllerOver, r), r)
+		d.freeReq(q)
 		d.kick()
 		return
 	}
@@ -390,6 +430,7 @@ func (d *HDD) absorbWrite(r *Request) {
 	// Freshly written data is also readable from the cache.
 	d.installSegment(r.Block, r.Block+r.Count)
 	a := d.newAbsorb(r.Count, r.Done)
+	d.freeReq(q)
 	d.eng.After(d.cfg.ControllerOver, a.fn)
 	d.kick()
 }
@@ -427,17 +468,14 @@ func (d *HDD) kick() {
 }
 
 // pickNext removes and returns the next request per the scheduler.
-func (d *HDD) pickNext() *Request {
+func (d *HDD) pickNext() *hddReq {
+	best := 0
 	switch d.cfg.Sched {
 	case FCFS:
-		r := d.queue[0]
-		d.queue = d.queue[1:]
-		return r
 	case SSTF:
-		best, bestDist := 0, int64(math.MaxInt64)
-		for i, r := range d.queue {
-			_, cyl, _ := d.locate(r.Block)
-			dist := cyl - d.curCyl
+		bestDist := int64(math.MaxInt64)
+		for i, q := range d.queue {
+			dist := q.cyl - d.curCyl
 			if dist < 0 {
 				dist = -dist
 			}
@@ -445,15 +483,12 @@ func (d *HDD) pickNext() *Request {
 				best, bestDist = i, dist
 			}
 		}
-		r := d.queue[best]
-		d.queue = append(d.queue[:best], d.queue[best+1:]...)
-		return r
 	default: // LOOK
-		best := -1
+		best = -1
 		var bestCyl int64
 		for pass := 0; pass < 2; pass++ {
-			for i, r := range d.queue {
-				_, cyl, _ := d.locate(r.Block)
+			for i, q := range d.queue {
+				cyl := q.cyl
 				if d.sweepUp && cyl < d.curCyl || !d.sweepUp && cyl > d.curCyl {
 					continue
 				}
@@ -467,15 +502,21 @@ func (d *HDD) pickNext() *Request {
 			}
 			d.sweepUp = !d.sweepUp // reverse at the end of the sweep
 		}
-		r := d.queue[best]
-		d.queue = append(d.queue[:best], d.queue[best+1:]...)
-		return r
 	}
+	// Remove in place: the backing array keeps its head, so the queue
+	// refills without reallocating.
+	q := d.queue[best]
+	n := len(d.queue) - 1
+	copy(d.queue[best:], d.queue[best+1:])
+	d.queue[n] = nil
+	d.queue = d.queue[:n]
+	return q
 }
 
 // startNext begins servicing one queued request.
 func (d *HDD) startNext() {
-	r := d.pickNext()
+	q := d.pickNext()
+	r := &q.Request
 	d.setBusy(true)
 
 	if r.fail {
@@ -483,13 +524,13 @@ func (d *HDD) startNext() {
 		// transfer happen before the error is detected), but no data
 		// moves — the cache is neither consulted nor filled.
 		service := d.mediaTime(r.Block, r.Count, r.Op == OpWrite)
-		d.finish(r, d.scaled(d.cfg.ControllerOver+service, r))
+		d.finish(q, d.scaled(d.cfg.ControllerOver+service, r))
 		return
 	}
 	if r.Op == OpRead && d.cacheCovers(r.Block, r.Block+r.Count) {
 		// Full cache hit: controller overhead only.
 		d.stats.CacheHits++
-		d.finish(r, d.scaled(d.cfg.ControllerOver, r))
+		d.finish(q, d.scaled(d.cfg.ControllerOver, r))
 		return
 	}
 	if r.Op == OpRead {
@@ -506,7 +547,7 @@ func (d *HDD) startNext() {
 		}
 		d.installSegment(r.Block, end)
 	}
-	d.finish(r, d.scaled(d.cfg.ControllerOver+service, r))
+	d.finish(q, d.scaled(d.cfg.ControllerOver+service, r))
 }
 
 // scaled applies the request's injected latency multiplier to a
@@ -518,17 +559,19 @@ func (d *HDD) scaled(t sim.Time, r *Request) sim.Time {
 	return t
 }
 
-// finish completes r after service time, updates stats and continues
+// finish completes q after service time, updates stats and continues
 // with the next queued operation. The pending completion lives in the
 // fin* fields (single-flight under the busy flag) and fires through the
-// cached finishFn, so the media path schedules no closures.
-func (d *HDD) finish(r *Request, service sim.Time) {
+// cached finishFn, so the media path schedules no closures; the slot
+// returns to the pool.
+func (d *HDD) finish(q *hddReq, service sim.Time) {
 	d.stats.BusyTime += service
-	done := r.Done
-	if r.fail && r.Fail != nil {
-		done = r.Fail
+	done := q.Done
+	if q.fail && q.Fail != nil {
+		done = q.Fail
 	}
-	d.finDone, d.finFail, d.finOp, d.finCount = done, r.fail, r.Op, r.Count
+	d.finDone, d.finFail, d.finOp, d.finCount = done, q.fail, q.Op, q.Count
+	d.freeReq(q)
 	d.eng.After(service, d.finishFn)
 }
 
@@ -627,17 +670,22 @@ func (d *HDD) destaged() {
 }
 
 // admitStalled moves stalled writes whose blocks now fit into the
-// write cache.
+// write cache, then compacts the rest to the head of the slice.
 func (d *HDD) admitStalled() {
 	i := 0
 	for ; i < len(d.stalled); i++ {
-		r := d.stalled[i]
-		if d.dirty+r.Count > int64(d.cfg.WriteCacheBlocks) {
+		q := d.stalled[i]
+		if d.dirty+q.Count > int64(d.cfg.WriteCacheBlocks) {
 			break
 		}
-		d.absorbWrite(r)
+		d.absorbWrite(q)
 	}
-	d.stalled = d.stalled[i:]
+	if i == 0 {
+		return
+	}
+	n := copy(d.stalled, d.stalled[i:])
+	clear(d.stalled[n:])
+	d.stalled = d.stalled[:n]
 }
 
 // cacheCovers reports whether [start,end) is entirely inside one read

@@ -115,10 +115,6 @@ func NewSSD(eng *sim.Engine, cfg SSDConfig) *SSD {
 	}
 }
 
-// RetainsRequests reports that the SSD copies everything it needs out
-// of the request during Submit, so callers may reuse the structure.
-func (d *SSD) RetainsRequests() bool { return false }
-
 // CapacityBlocks implements Device.
 func (d *SSD) CapacityBlocks() int64 { return d.cfg.CapacityBlocks }
 

@@ -14,11 +14,21 @@ const SpreadGranule = 64
 // that all disks have the same access probability") and is what makes
 // hot data "randomly spread over the entire disk" — the dispersion
 // CRAID's cache partition subsequently undoes (§3, benefit iv).
+//
+// Unlike the other layouts, a SpreadLayout keeps the walk in progress
+// (see ForEachExtent), so one must not be walked from two goroutines
+// at once.
 type SpreadLayout struct {
 	inner Layout
 	slots int64 // granule slots in the inner space
 	mult  int64 // modular-bijection multiplier over slots
 	data  int64
+
+	// The walk in progress: ForEachExtent hands the inner layout the
+	// emit method value, bound once, instead of a closure per granule.
+	walkFn    func(Extent)
+	walkShift int64 // dataset address minus inner address, per granule
+	emitFn    func(Extent)
 }
 
 // NewSpreadLayout spreads datasetBlocks over inner's address space.
@@ -41,7 +51,9 @@ func NewSpreadLayout(inner Layout, datasetBlocks int64) *SpreadLayout {
 	for gcd64(mult, slots) != 1 {
 		mult++
 	}
-	return &SpreadLayout{inner: inner, slots: slots, mult: mult, data: datasetBlocks}
+	s := &SpreadLayout{inner: inner, slots: slots, mult: mult, data: datasetBlocks}
+	s.emitFn = s.emit
+	return s
 }
 
 func gcd64(a, b int64) int64 {
@@ -106,20 +118,28 @@ func (s *SpreadLayout) QParityOf(block int64) (PBA, bool) {
 
 // ForEachExtent implements Layout: runs split at granule boundaries
 // first (where physical placement jumps), then at the inner layout's
-// stripe-unit boundaries.
+// stripe-unit boundaries. Within a granule the spread is a constant
+// shift, which emit applies on the way back out. fn may walk the layout
+// again: the walk state is saved here and restored on return.
 func (s *SpreadLayout) ForEachExtent(block, count int64, fn func(Extent)) {
 	checkBlock(s, block, count)
+	outerFn, outerShift := s.walkFn, s.walkShift
 	for count > 0 {
 		inGranule := SpreadGranule - block%SpreadGranule
 		if inGranule > count {
 			inGranule = count
 		}
-		base := block
-		s.inner.ForEachExtent(s.spreadAddr(block), inGranule, func(e Extent) {
-			e.Logical = base + (e.Logical - s.spreadAddr(base))
-			fn(e)
-		})
+		addr := s.spreadAddr(block)
+		s.walkFn, s.walkShift = fn, block-addr
+		s.inner.ForEachExtent(addr, inGranule, s.emitFn)
 		block += inGranule
 		count -= inGranule
 	}
+	s.walkFn, s.walkShift = outerFn, outerShift
+}
+
+// emit maps one inner extent back to dataset addresses.
+func (s *SpreadLayout) emit(e Extent) {
+	e.Logical += s.walkShift
+	s.walkFn(e)
 }

@@ -1,6 +1,10 @@
 package raid
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestSpreadLayoutFullDatasetStillBijective(t *testing.T) {
 	inner := NewRAID5(8, 4, 1024, 32)
@@ -113,4 +117,64 @@ func TestSpreadLayoutRejectsOversizedDataset(t *testing.T) {
 		}
 	}()
 	NewSpreadLayout(inner, inner.DataBlocks()+1)
+}
+
+// spreadExtentsRef is the closure-per-granule walk ForEachExtent
+// replaced: the reference the bound walker must reproduce.
+func spreadExtentsRef(s *SpreadLayout, block, count int64) []Extent {
+	var out []Extent
+	for count > 0 {
+		inGranule := SpreadGranule - block%SpreadGranule
+		if inGranule > count {
+			inGranule = count
+		}
+		base := block
+		s.inner.ForEachExtent(s.spreadAddr(block), inGranule, func(e Extent) {
+			e.Logical = base + (e.Logical - s.spreadAddr(base))
+			out = append(out, e)
+		})
+		block += inGranule
+		count -= inGranule
+	}
+	return out
+}
+
+// TestSpreadWalkerMatchesClosureWalk checks the bound walker against
+// the closure reference over random runs on RAID-5 and RAID-6 inners,
+// including a walk of another run re-entered from inside fn, and pins
+// the walk at zero allocations.
+func TestSpreadWalkerMatchesClosureWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, inner := range map[string]Layout{
+		"raid5": NewRAID5(5, 5, 4096, 16),
+		"raid6": NewRAID6(6, 6, 4096, 8),
+	} {
+		s := NewSpreadLayout(inner, inner.DataBlocks()/3)
+		run := func() (int64, int64) {
+			count := 1 + rng.Int63n(5*SpreadGranule)
+			return rng.Int63n(s.DataBlocks() - count), count
+		}
+		for i := 0; i < 300; i++ {
+			block, count := run()
+			iblock, icount := run()
+			var got, inner []Extent
+			s.ForEachExtent(block, count, func(e Extent) {
+				if len(got) == 0 {
+					s.ForEachExtent(iblock, icount, func(e Extent) { inner = append(inner, e) })
+				}
+				got = append(got, e)
+			})
+			if want := spreadExtentsRef(s, block, count); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s [%d,+%d): walker emitted\n%+v\nwant\n%+v", name, block, count, got, want)
+			}
+			if want := spreadExtentsRef(s, iblock, icount); !reflect.DeepEqual(inner, want) {
+				t.Fatalf("%s re-entered [%d,+%d): walker emitted\n%+v\nwant\n%+v", name, iblock, icount, inner, want)
+			}
+		}
+		var n int64
+		fn := func(e Extent) { n += e.Count }
+		if allocs := testing.AllocsPerRun(100, func() { s.ForEachExtent(100, 4*SpreadGranule, fn) }); allocs != 0 {
+			t.Fatalf("%s: walk allocated %.1f times, want 0", name, allocs)
+		}
+	}
 }
