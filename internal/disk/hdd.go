@@ -109,9 +109,10 @@ type HDD struct {
 	reqFree *hddReq
 
 	// Read cache: fixed number of segments, each holding one
-	// contiguous block range; LRU replacement.
+	// contiguous block range; LRU replacement through a recency list
+	// threaded through the segments, least recent at segLRU.
 	segments []segment
-	segClock int64
+	segLRU   int
 
 	// Write-back state.
 	dirty       int64 // blocks waiting for destage
@@ -213,7 +214,7 @@ func (a *absorbOp) fire() {
 
 type segment struct {
 	start, end int64 // [start, end) block range; start==end means empty
-	lastUse    int64
+	prev, next int   // recency list neighbours (circular)
 }
 
 type blockRange struct{ start, end int64 }
@@ -230,7 +231,13 @@ func NewHDD(eng *sim.Engine, cfg HDDConfig) *HDD {
 	}
 	d.buildZones()
 	d.calibrateSeek()
+	// Never-used segments fill in index order: the list starts 0..n-1
+	// from least to most recent.
 	d.segments = make([]segment, cfg.CacheSegments)
+	for i := range d.segments {
+		n := len(d.segments)
+		d.segments[i].prev, d.segments[i].next = (i+n-1)%n, (i+1)%n
+	}
 	d.finishFn = d.finished
 	d.destageFn = d.destaged
 	return d
@@ -629,9 +636,13 @@ func (d *HDD) mediaTime(block, count int64, isWrite bool) sim.Time {
 	tracksCrossed := (pos + count - 1) / zn.blocksPT
 	transfer += sim.Time(tracksCrossed) * d.cfg.HeadSwitch
 
-	// Head ends at the cylinder holding the last block.
-	_, endCyl, _ := d.locate(block + count - 1)
-	d.curCyl = endCyl
+	// Head ends at the cylinder holding the last block, nearly always in
+	// the same zone.
+	if last := block + count - 1; last < zn.endBlock {
+		d.curCyl = zn.firstCyl + (last-zn.firstBlock)/zn.blocksPCyl
+	} else {
+		_, d.curCyl, _ = d.locate(last)
+	}
 	return seek + rot + transfer
 }
 
@@ -694,8 +705,7 @@ func (d *HDD) cacheCovers(start, end int64) bool {
 	for i := range d.segments {
 		s := &d.segments[i]
 		if start >= s.start && end <= s.end {
-			d.segClock++
-			s.lastUse = d.segClock
+			d.touchSegment(i)
 			return true
 		}
 	}
@@ -708,14 +718,28 @@ func (d *HDD) installSegment(start, end int64) {
 	if len(d.segments) == 0 {
 		return
 	}
-	lru := 0
-	for i := range d.segments {
-		if d.segments[i].lastUse < d.segments[lru].lastUse {
-			lru = i
-		}
+	s := &d.segments[d.segLRU]
+	s.start, s.end = start, end
+	// The least recent segment becomes the most recent one: in a
+	// circular list that is just advancing the head.
+	d.segLRU = s.next
+}
+
+// touchSegment makes segment i the most recently used.
+func (d *HDD) touchSegment(i int) {
+	if i == d.segLRU {
+		d.segLRU = d.segments[i].next
+		return
 	}
-	d.segClock++
-	d.segments[lru] = segment{start: start, end: end, lastUse: d.segClock}
+	// Unlink i, then splice it in just before the head (the most
+	// recent position of the circular list).
+	s := &d.segments[i]
+	d.segments[s.prev].next = s.next
+	d.segments[s.next].prev = s.prev
+	head := &d.segments[d.segLRU]
+	s.prev, s.next = head.prev, d.segLRU
+	d.segments[head.prev].next = i
+	head.prev = i
 }
 
 // String summarizes the drive geometry, for debugging.

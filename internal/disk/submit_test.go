@@ -202,3 +202,53 @@ func BenchmarkHDDSubmit(b *testing.B) {
 		b.Fatalf("%d completions, want %d", done, (b.N+1)*len(burst))
 	}
 }
+
+// TestHDDSegmentLRUMatchesClock checks the read cache's recency list
+// against the stamp-and-scan LRU it replaced (a use clock per segment,
+// the least stamped one, first by index, is the victim): over random
+// installs and lookups both choose the same segment every time.
+func TestHDDSegmentLRUMatchesClock(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 16} {
+		cfg := smallHDDConfig("hdd")
+		cfg.CacheSegments = n
+		d := NewHDD(sim.NewEngine(), cfg)
+		ref := make([]segment, n)
+		last := make([]int64, n)
+		var clock int64
+		rng := rand.New(rand.NewSource(int64(n)))
+		for op := 0; op < 5000; op++ {
+			start := rng.Int63n(64) * 8
+			end := start + 1 + rng.Int63n(16)
+			if rng.Intn(2) == 0 {
+				lru := 0
+				for i := range ref {
+					if last[i] < last[lru] {
+						lru = i
+					}
+				}
+				clock++
+				ref[lru].start, ref[lru].end, last[lru] = start, end, clock
+				d.installSegment(start, end)
+			} else {
+				want := false
+				for i := range ref {
+					if start >= ref[i].start && end <= ref[i].end {
+						clock++
+						last[i] = clock
+						want = true
+						break
+					}
+				}
+				if got := d.cacheCovers(start, end); got != want {
+					t.Fatalf("%d segments, op %d: cacheCovers(%d, %d) = %v, want %v", n, op, start, end, got, want)
+				}
+			}
+			for i := range ref {
+				if s := d.segments[i]; s.start != ref[i].start || s.end != ref[i].end {
+					t.Fatalf("%d segments, op %d: segment %d holds [%d,%d), want [%d,%d)",
+						n, op, i, s.start, s.end, ref[i].start, ref[i].end)
+				}
+			}
+		}
+	}
+}
