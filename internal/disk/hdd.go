@@ -691,9 +691,6 @@ func (d *HDD) admitStalled() {
 		}
 		d.absorbWrite(q)
 	}
-	if i == 0 {
-		return
-	}
 	n := copy(d.stalled, d.stalled[i:])
 	clear(d.stalled[n:])
 	d.stalled = d.stalled[:n]
